@@ -36,9 +36,8 @@ from repro.util.tables import Table, format_rate
 SIZE = 256
 
 #: Schema tag of the --json report; bump on layout changes.
-#: v2: per-worker-count rows for the "parallel" backend ("workers" key),
-#: with parallel-efficiency and vs-bitplane speedup annotations.
-SCHEMA = "repro/bench-kernels/v2"
+#: v3: one row per (model, size, backend); no "workers" key or config.
+SCHEMA = "repro/bench-kernels/v3"
 
 
 @pytest.fixture(scope="module")
@@ -137,12 +136,9 @@ def _make_model(name: str, rows: int, cols: int):
     raise ValueError(f"unknown model {name!r}")
 
 
-def _cell_timer_name(
-    model_name: str, size: int, backend: str, workers: int | None
-) -> str:
+def _cell_timer_name(model_name: str, size: int, backend: str) -> str:
     """Telemetry timer name for one measurement cell."""
-    suffix = f".w{workers}" if workers is not None else ""
-    return f"bench.kernels.{model_name}.{size}.{backend}{suffix}.pass_seconds"
+    return f"bench.kernels.{model_name}.{size}.{backend}.pass_seconds"
 
 
 def measure_backend(
@@ -153,13 +149,12 @@ def measure_backend(
     repeats: int,
     density: float = 0.3,
     seed: int = 0,
-    workers: int | None = None,
     recorder: InMemoryRecorder | None = None,
 ) -> dict:
-    """Measure R for one (model, size, backend[, workers]) cell.
+    """Measure R for one (model, size, backend) cell.
 
-    Runs one untimed warmup pass (buffer allocation, table compilation,
-    thread-pool spin-up), then ``repeats`` timed passes of
+    Runs one untimed warmup pass (buffer allocation, table compilation),
+    then ``repeats`` timed passes of
     ``generations`` steps each, and quotes R from the *best* pass — the
     standard way to estimate the kernel's intrinsic rate under
     scheduler noise.  Timing goes through a bench-owned telemetry timer
@@ -171,18 +166,18 @@ def measure_backend(
     model = _make_model(model_name, size, size)
     rng = np.random.default_rng(seed)
     state = uniform_random_state(size, size, model.num_channels, density, rng)
-    stepper = make_stepper(model, backend=backend, workers=workers)
+    stepper = make_stepper(model, backend=backend)
     stepper.run(state, generations)  # warmup, untimed
     rec = recorder if recorder is not None else InMemoryRecorder(clock=PERF_COUNTER)
     clk = rec.clock
-    timer = rec.timer(_cell_timer_name(model_name, size, backend, workers))
+    timer = rec.timer(_cell_timer_name(model_name, size, backend))
     for _ in range(repeats):
         start = clk()
         stepper.run(state, generations)
         timer.record(clk() - start)
     best = timer.min
     updates = generations * size * size
-    rec = {
+    return {
         "model": model_name,
         "rows": size,
         "cols": size,
@@ -193,9 +188,6 @@ def measure_backend(
         "site_updates": updates,
         "updates_per_second": updates / best,
     }
-    if workers is not None:
-        rec["workers"] = workers
-    return rec
 
 
 def run_matrix(
@@ -204,32 +196,14 @@ def run_matrix(
     backends: list[str],
     generations: int,
     repeats: int,
-    workers_sweep: list[int] | None = None,
     recorder: InMemoryRecorder | None = None,
 ) -> dict:
-    """The full measurement matrix plus per-cell speedup annotations.
-
-    ``workers_sweep`` expands the ``"parallel"`` backend into one row
-    per worker count; those rows carry thread-scaling annotations:
-    ``parallel_efficiency`` (R(w) / (w · R(1)), the fraction of ideal
-    linear scaling retained) and ``speedup_vs_bitplane`` (the overhead
-    or win against the single-slab kernel the tiles are built from).
-    """
+    """The full measurement matrix plus bitplane-vs-reference speedups."""
     results = []
     for model_name in models:
         for size in sizes:
             by_backend = {}
-            parallel_rows = []
             for backend in backends:
-                if backend == "parallel" and workers_sweep:
-                    for w in workers_sweep:
-                        rec = measure_backend(
-                            model_name, size, backend, generations, repeats,
-                            workers=w, recorder=recorder,
-                        )
-                        parallel_rows.append(rec)
-                        results.append(rec)
-                    continue
                 rec = measure_backend(
                     model_name, size, backend, generations, repeats,
                     recorder=recorder,
@@ -240,17 +214,6 @@ def run_matrix(
                 ref = by_backend["reference"]["updates_per_second"]
                 fast = by_backend["bitplane"]["updates_per_second"]
                 by_backend["bitplane"]["speedup_vs_reference"] = fast / ref
-            one = next((r for r in parallel_rows if r["workers"] == 1), None)
-            for rec in parallel_rows:
-                if one is not None and rec["workers"] >= 1:
-                    rec["parallel_efficiency"] = rec["updates_per_second"] / (
-                        rec["workers"] * one["updates_per_second"]
-                    )
-                if "bitplane" in by_backend:
-                    rec["speedup_vs_bitplane"] = (
-                        rec["updates_per_second"]
-                        / by_backend["bitplane"]["updates_per_second"]
-                    )
     return {
         "schema": SCHEMA,
         "quantity": "R, site updates per second (paper's throughput measure)",
@@ -260,7 +223,6 @@ def run_matrix(
             "backends": backends,
             "generations": generations,
             "repeats": repeats,
-            "workers": workers_sweep,
         },
         "results": results,
     }
@@ -282,9 +244,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="steps per timed pass")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed passes per cell (best is quoted)")
-    parser.add_argument("--workers", default=None, metavar="N,M,...",
-                        help="comma-separated worker counts: sweep the "
-                        "'parallel' backend once per count")
     parser.add_argument("--telemetry", metavar="PATH", default=None,
                         help="write the bench-owned telemetry report "
                         "(per-cell pass timers) here; defaults to the "
@@ -292,44 +251,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--assert-speedup", type=float, default=None, metavar="FACTOR",
                         help="exit 1 unless bitplane beats reference by FACTOR "
                         "in every measured cell")
-    parser.add_argument("--assert-parallel-ratio", type=float, default=None,
-                        metavar="FACTOR",
-                        help="exit 1 unless every multi-worker parallel cell "
-                        "reaches FACTOR x the bitplane R at the same size "
-                        "(the no-regression thread-overhead gate)")
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",") if s]
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    workers_sweep = (
-        [int(w) for w in args.workers.split(",") if w] if args.workers else None
-    )
-    if workers_sweep and "parallel" not in backends:
-        backends.append("parallel")
     recorder = InMemoryRecorder(clock=PERF_COUNTER)
     report = run_matrix(
-        sizes, models, backends, args.generations, args.repeats, workers_sweep,
+        sizes, models, backends, args.generations, args.repeats,
         recorder=recorder,
     )
 
     table = Table(
         "R: site updates per second by backend",
-        ["model", "grid", "backend", "R", "speedup", "efficiency"],
+        ["model", "grid", "backend", "R", "speedup"],
     )
     for rec in report["results"]:
-        backend = rec["backend"]
-        if "workers" in rec:
-            backend = f"{backend}@{rec['workers']}"
-        speedup = rec.get("speedup_vs_reference", rec.get("speedup_vs_bitplane"))
-        efficiency = rec.get("parallel_efficiency")
+        speedup = rec.get("speedup_vs_reference")
         table.add_row(
             rec["model"],
             f"{rec['rows']}x{rec['cols']}",
-            backend,
+            rec["backend"],
             format_rate(rec["updates_per_second"]),
             f"{speedup:.2f}x" if speedup is not None else "-",
-            f"{efficiency:.2f}" if efficiency is not None else "-",
         )
     table.print()
 
@@ -379,36 +323,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"assert-speedup OK: every cell >= {args.assert_speedup}x")
 
-    if args.assert_parallel_ratio is not None:
-        checked = [
-            rec for rec in report["results"]
-            if rec.get("workers", 0) > 1 and "speedup_vs_bitplane" in rec
-        ]
-        if not checked:
-            print(
-                "assert-parallel-ratio: no multi-worker (parallel, bitplane) "
-                "pairs measured",
-                file=sys.stderr,
-            )
-            return 1
-        failed = [
-            rec for rec in checked
-            if rec["speedup_vs_bitplane"] < args.assert_parallel_ratio
-        ]
-        if failed:
-            for rec in failed:
-                print(
-                    f"assert-parallel-ratio FAILED: {rec['model']} "
-                    f"{rec['rows']}x{rec['cols']} parallel@{rec['workers']} is "
-                    f"only {rec['speedup_vs_bitplane']:.2f}x bitplane "
-                    f"(< {args.assert_parallel_ratio}x)",
-                    file=sys.stderr,
-                )
-            return 1
-        print(
-            f"assert-parallel-ratio OK: every multi-worker cell >= "
-            f"{args.assert_parallel_ratio}x bitplane"
-        )
     return 0
 
 

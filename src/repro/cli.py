@@ -220,7 +220,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         model,
         state.copy(),
         backend=args.backend,
-        workers=args.workers,
         recorder=recorder if args.engine == "none" else None,
     )
     mass0, p0 = auto.particle_count(), auto.momentum()
@@ -258,7 +257,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         model,
         pipeline_depth=args.depth,
         backend=args.backend,
-        workers=args.workers,
         recorder=recorder,
         **machine_params.get(args.engine, {}),
     )
@@ -622,23 +620,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.lgca.backends import check_backend_options
     from repro.resilience.campaign import (
         CampaignConfig,
         render_report,
         report_json,
         run_campaign,
     )
-    from repro.util.errors import ConfigError
-
-    # Same option validation as every other layer, so `--workers` with a
-    # non-parallel backend fails with the registry's uniform message.
-    check_backend_options(args.backend, {"workers": args.workers})
-    if args.backend != "reference":
-        raise ConfigError(
-            "the fault-injection campaign mutates values inside the site "
-            "stream and requires backend='reference'"
-        )
 
     config = CampaignConfig(
         seed=args.seed,
@@ -711,6 +698,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.lgca.automaton import LatticeGasAutomaton
     from repro.runtime import ModelSpec, SupervisorConfig, supervised_run
     from repro.util.backoff import BackoffPolicy
+    from repro.util.errors import ConfigError
     from repro.util.tables import Table
 
     spec = ModelSpec(
@@ -722,19 +710,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     recorder = _telemetry_recorder(args)
 
-    def run_direct(workers: int | str | None = None, rec=None) -> np.ndarray:
+    def run_direct(rec=None) -> np.ndarray:
         auto = LatticeGasAutomaton(
             spec.build(),
             spec.initial_state(args.density, args.seed),
             backend=args.backend,
-            workers=workers,
             recorder=rec,
         )
         auto.run(args.generations)
         return auto.state.copy()
 
     if not args.supervised:
-        state = run_direct(args.workers, recorder)
+        if args.workers is not None:
+            raise ConfigError(
+                "--workers is the worker process count of a supervised run; "
+                "add --supervised or drop --workers"
+            )
+        state = run_direct(recorder)
         table = Table("Direct run", ["quantity", "value"])
         table.add_row("model", args.model)
         table.add_row("grid", f"{args.rows} x {args.cols} ({args.boundary})")
@@ -754,15 +746,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 0
 
-    from repro.util.errors import ConfigError
-
-    workers_arg = "2" if args.workers is None else str(args.workers)
-    if not workers_arg.isdigit():
-        raise ConfigError(
-            f"supervised runs take an integer --workers process count; "
-            f"got {workers_arg!r}"
-        )
-    num_workers = int(workers_arg)
+    num_workers = 2 if args.workers is None else args.workers
     config = SupervisorConfig(
         spec=spec,
         generations=args.generations,
@@ -942,16 +926,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slice-width", type=int, default=8, help="SPA slice width W")
     p.add_argument(
         "--backend",
-        choices=("reference", "bitplane", "parallel"),
+        choices=("reference", "bitplane"),
         default="reference",
-        help="stepping kernels: per-site reference, multi-spin coded "
-        "bit-planes, or thread-tiled bit-planes",
-    )
-    p.add_argument(
-        "--workers",
-        default=None,
-        help="worker threads for --backend parallel: a positive integer "
-        "or 'auto' (rejected by other backends)",
+        help="stepping kernels: per-site reference or multi-spin coded "
+        "bit-planes",
     )
     _add_telemetry_arg(p)
     p.set_defaults(func=_cmd_simulate)
@@ -1065,19 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sanitize)
 
     p = sub.add_parser("faults", help="run the fault-injection campaign")
-    p.add_argument(
-        "--backend",
-        choices=("reference", "bitplane", "parallel"),
-        default="reference",
-        help="stepping kernels (the campaign's stream hooks require "
-        "'reference'; others are rejected with the uniform error)",
-    )
-    p.add_argument(
-        "--workers",
-        default=None,
-        help="worker threads ('parallel' backend only; validated like "
-        "every other command)",
-    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rows", type=int, default=16)
     p.add_argument("--cols", type=int, default=16)
@@ -1124,9 +1089,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("reference", "bitplane", "parallel"),
+        choices=("reference", "bitplane"),
         default="reference",
-        help="stepping kernels ('parallel' is thread-tiled; direct runs only)",
+        help="stepping kernels",
     )
     p.add_argument(
         "--supervised",
@@ -1135,9 +1100,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers",
+        type=int,
         default=None,
-        help="supervised: worker process count (integer, default 2); "
-        "direct with --backend parallel: thread count or 'auto'",
+        help="worker process count of a --supervised run (default 2)",
     )
     p.add_argument(
         "--fallback-backend",

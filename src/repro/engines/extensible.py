@@ -60,7 +60,6 @@ class ExtensibleSerialEngine(StreamingEngineCore):
         clock_hz: float = 10e6,
         post_collide: PostCollideHook | None = None,
         backend: str = "reference",
-        workers: int | str | None = None,
         recorder: "Recorder | None" = None,
     ):
         self.commercial_density = check_positive(
@@ -72,7 +71,6 @@ class ExtensibleSerialEngine(StreamingEngineCore):
             clock_hz=clock_hz,
             post_collide=post_collide,
             backend=backend,
-            workers=workers,
             recorder=recorder,
         )
 

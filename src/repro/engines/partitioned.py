@@ -120,7 +120,6 @@ class PartitionedEngine(StreamingEngineCore):
         post_collide: PostCollideHook | None = None,
         failed_slices: tuple[int, ...] = (),
         backend: str = "reference",
-        workers: int | str | None = None,
         recorder: "Recorder | None" = None,
     ):
         self.slice_width = check_positive(slice_width, "slice_width", integer=True)
@@ -134,7 +133,6 @@ class PartitionedEngine(StreamingEngineCore):
             clock_hz=clock_hz,
             post_collide=post_collide,
             backend=backend,
-            workers=workers,
             recorder=recorder,
         )
         self._build_exchange_maps()

@@ -36,7 +36,6 @@ from repro.engines.stats import EngineRunStats
 from repro.lgca.automaton import SiteModel
 from repro.lgca.backends import (
     KernelStepper,
-    check_backend_options,
     get_backend,
     make_stepper,
 )
@@ -51,7 +50,6 @@ def _make_engine_stepper(
     model: SiteModel,
     backend: str,
     post_collide: PostCollideHook | None,
-    workers: int | str | None = None,
     recorder: Recorder | None = None,
 ) -> KernelStepper | None:
     """Resolve an engine's frame-evolution backend.
@@ -62,17 +60,14 @@ def _make_engine_stepper(
     evolution is identical (the backends are bit-exact by contract and
     by test), only wall-clock speed changes.  Fault-injection hooks
     mutate values *inside* the stream, so they require the reference
-    dataflow.  ``workers`` is validated against the backend's declared
-    options (only ``"parallel"`` accepts it) *before* the reference
-    early-return, so every engine rejects stray options uniformly.
+    dataflow.
     """
-    chosen = get_backend(backend)  # uniform name validation and error message
-    options = check_backend_options(chosen, {"workers": workers})
+    get_backend(backend)  # uniform name validation and error message
     if backend == "reference":
         return None
     if post_collide is not None:
         raise ValueError("fault-injection hooks require backend='reference'")
-    return make_stepper(model, backend=backend, recorder=recorder, **options)
+    return make_stepper(model, backend=backend, recorder=recorder)
 
 
 @dataclass
@@ -293,11 +288,6 @@ class StreamingEngineCore:
         large frames.  Stats accounting is unchanged: it models the
         *hardware*, which is the same machine either way.  Fault hooks
         and tick-accurate simulation require the reference backend.
-    workers:
-        Worker count for backends that accept it (``"parallel"``): a
-        positive int or ``"auto"``.  ``None`` means "not requested";
-        setting it with a backend that does not declare the option
-        raises :class:`~repro.util.errors.ConfigError`.
     recorder:
         Optional :class:`~repro.telemetry.Recorder`.  :meth:`run` emits
         run/pass spans and keeps its accounting on recorder counters
@@ -318,7 +308,6 @@ class StreamingEngineCore:
         clock_hz: float = 10e6,
         post_collide: PostCollideHook | None = None,
         backend: str = "reference",
-        workers: int | str | None = None,
         recorder: Recorder | None = None,
     ):
         self.model = model
@@ -327,11 +316,8 @@ class StreamingEngineCore:
         self.rule = make_rule(model)
         self.stage = PipelineStage(self.rule, post_collide=post_collide)
         self.backend = backend
-        self.workers = workers
         self.recorder: Recorder = recorder if recorder is not None else NULL_RECORDER
-        self._stepper = _make_engine_stepper(
-            model, backend, post_collide, workers, recorder
-        )
+        self._stepper = _make_engine_stepper(model, backend, post_collide, recorder)
 
     # -- identity and geometry hooks --------------------------------------------
 

@@ -65,7 +65,6 @@ class WideSerialEngine(StreamingEngineCore):
         clock_hz: float = 10e6,
         post_collide: PostCollideHook | None = None,
         backend: str = "reference",
-        workers: int | str | None = None,
         recorder: "Recorder | None" = None,
     ):
         self.lanes = check_positive(lanes, "lanes", integer=True)
@@ -75,7 +74,6 @@ class WideSerialEngine(StreamingEngineCore):
             clock_hz=clock_hz,
             post_collide=post_collide,
             backend=backend,
-            workers=workers,
             recorder=recorder,
         )
 

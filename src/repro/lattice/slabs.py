@@ -1,13 +1,11 @@
-"""Row-slab decomposition with halo geometry: the shared slab planner.
+"""Row-slab decomposition with halo geometry: the slab planner.
 
-Both parallel execution layers in this repo — the thread-tiled
-``"parallel"`` kernel backend (:mod:`repro.lgca.parallel`) and the
-supervised multi-process runtime (:mod:`repro.runtime.sharding`) —
-divide the lattice into adjacent horizontal slabs, one per worker,
-because every kernel in :mod:`repro.lgca` stores the lattice row-major,
-which makes slab views and halo rows contiguous.  This module is the
-single source of that geometry; it deliberately knows nothing about
-processes, threads, or kernels.
+The supervised multi-process runtime (:mod:`repro.runtime.sharding`),
+the repo's one multi-core path, divides the lattice into adjacent
+horizontal slabs, one per worker, because every kernel in
+:mod:`repro.lgca` stores the lattice row-major, which makes slab views
+and halo rows contiguous.  This module is the single source of that
+geometry; it deliberately knows nothing about processes or kernels.
 
 Each worker steps a *local frame* of ``halo_top + slab + halo_bottom``
 rows.  The halo sizes are not free:
@@ -31,16 +29,9 @@ they are ever read again.  Neighbours therefore exchange a fixed
 **two** boundary rows per side per generation and each receiver slices
 off the 1 or 2 it needs.
 
-``edge_halos`` selects how the lattice edges are realized:
-
-* ``True`` (the periodic case): every shard gets both halos, and the
-  first/last shards' halo rows wrap around to the opposite end of the
-  lattice.
-* ``False`` (null/reflecting): the first shard has ``halo_top == 0``
-  and the last ``halo_bottom == 0``, so the local frame edge of the
-  edge shards *coincides with the true lattice edge* and the local
-  model's own boundary condition realizes it exactly — reflecting
-  walls in particular must fire at the true edge, not at a ghost row.
+Every shard gets both halos.  The first and last shards' outer halos
+wrap around to the opposite end of a periodic lattice and are
+zero-filled on a null one (nothing flows in).
 """
 
 from __future__ import annotations
@@ -102,9 +93,7 @@ class Shard:
         return np.arange(self.row_start - self.halo_top, self.row_stop + self.halo_bottom) % rows
 
 
-def plan_shards(
-    rows: int, num_workers: int, *, edge_halos: bool = True
-) -> tuple[Shard, ...]:
+def plan_shards(rows: int, num_workers: int) -> tuple[Shard, ...]:
     """Split ``rows`` lattice rows into ``num_workers`` slabs.
 
     Rows are distributed as evenly as possible (earlier shards take the
@@ -115,11 +104,6 @@ def plan_shards(
     ----------
     rows, num_workers:
         Lattice height and slab count.
-    edge_halos:
-        When ``True`` every shard gets both halos (periodic wrap);
-        when ``False`` the first shard's top halo and the last shard's
-        bottom halo are zero rows, so edge shards' local frames end at
-        the true lattice edge (see the module docstring).
 
     Raises
     ------
@@ -141,11 +125,6 @@ def plan_shards(
         slab = base + (1 if index < extra else 0)
         halo_top = 2 if row_start % 2 == 0 else 1
         halo_bottom = 2 - ((halo_top + slab) % 2)
-        if not edge_halos:
-            if index == 0:
-                halo_top = 0
-            if index == num_workers - 1:
-                halo_bottom = 0
         shards.append(
             Shard(
                 index=index,

@@ -104,20 +104,13 @@ class LatticeGasAutomaton:
         Only consulted when the model's chirality policy is ``"random"``.
     backend:
         Kernel backend name from :mod:`repro.lgca.backends`
-        (``"reference"``, ``"bitplane"``, or ``"parallel"``).  All
-        produce bit-identical evolutions; ``"bitplane"`` packs 64 sites
-        per machine word and is much faster for :meth:`run` on large
-        grids, and ``"parallel"`` tiles those kernels over a thread
-        pool.
-    workers:
-        Per-backend worker count (``"parallel"`` only): a positive int
-        or ``"auto"``.  ``None`` means "not requested"; setting it with
-        a backend that does not accept it raises
-        :class:`~repro.util.errors.ConfigError`.
+        (``"reference"`` or ``"bitplane"``).  Both produce
+        bit-identical evolutions; ``"bitplane"`` packs 64 sites per
+        machine word and is much faster for :meth:`run` on large grids.
     recorder:
         Optional :class:`~repro.telemetry.Recorder` forwarded to the
-        backend stepper, which reports per-generation kernel (and, for
-        ``"parallel"``, halo-exchange) timings through it.  Recording
+        backend stepper, which reports per-generation kernel timings
+        through it.  Recording
         never changes the evolution — trajectories are bit-identical
         with any recorder (property-tested).
     """
@@ -128,7 +121,6 @@ class LatticeGasAutomaton:
     rng: np.random.Generator | None = None
     time: int = 0
     backend: str = "reference"
-    workers: int | str | None = None
     recorder: object = None
     _stepper: object = field(init=False, repr=False)
 
@@ -145,7 +137,6 @@ class LatticeGasAutomaton:
             self.model,
             obstacles=self.obstacles,
             backend=self.backend,
-            workers=self.workers,
             recorder=self.recorder,  # type: ignore[arg-type]
         )
 

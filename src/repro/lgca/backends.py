@@ -1,6 +1,6 @@
 """Kernel backend registry: uniform selection of LGCA stepping engines.
 
-Three backends ship with the repo:
+Two backends ship with the repo:
 
 ``"reference"``
     The verified per-site kernels (:mod:`repro.lgca.hpp`,
@@ -12,13 +12,11 @@ Three backends ship with the repo:
     per *bit* of a ``uint64`` word, collision as boolean plane algebra
     compiled from the same verified tables.  Bit-identical to the
     reference (enforced by the property tests) and much faster.
-``"parallel"``
-    Row-slab tiles of the bit-plane kernels on a persistent thread pool
-    (:mod:`repro.lgca.parallel`), with direct-write halo exchange.
-    Bit-identical to ``"bitplane"`` at every worker count; takes the
-    ``workers`` option (a positive int or ``"auto"``).
 
-All are exposed through the same :class:`KernelStepper` interface —
+Multi-core runs go through process shards (:mod:`repro.runtime`), each
+of which steps its slab with one of these backends.
+
+Both are exposed through the same :class:`KernelStepper` interface —
 stateless functional kernels over site-state fields — so
 :class:`repro.lgca.automaton.LatticeGasAutomaton`, the engine simulators
 in :mod:`repro.engines`, and the CLI select a backend by name without
@@ -31,7 +29,7 @@ next call — callers that retain states must copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -49,7 +47,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "check_backend_options",
     "make_stepper",
     "DEFAULT_BACKEND",
 ]
@@ -99,20 +96,12 @@ class Backend:
     description:
         One line for ``--help`` output and docs.
     factory:
-        ``factory(model, obstacles, **options)`` returning a
-        :class:`KernelStepper`.
-    options:
-        Keyword options the factory accepts beyond model and obstacles
-        (e.g. ``("workers",)`` for ``"parallel"``).  Callers are
-        validated against this tuple by :func:`check_backend_options`,
-        so every layer rejects unsupported options with the same
-        :class:`~repro.util.errors.ConfigError`.
+        ``factory(model, obstacles)`` returning a :class:`KernelStepper`.
     """
 
     name: str
     description: str
     factory: Callable[..., KernelStepper]
-    options: tuple[str, ...] = ()
 
 
 class ReferenceStepper:
@@ -318,64 +307,24 @@ def available_backends() -> tuple[Backend, ...]:
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
 
 
-def check_backend_options(
-    backend: Backend | str, options: Mapping[str, object]
-) -> dict[str, object]:
-    """Validate per-backend options; returns the ones that are actually set.
-
-    ``None`` values mean "not requested" and are dropped, so callers can
-    plumb a uniform keyword set (e.g. ``workers=None``) through every
-    layer.  Any *set* option the backend does not declare raises the
-    same :class:`~repro.util.errors.ConfigError` everywhere.
-    """
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    given = {key: value for key, value in options.items() if value is not None}
-    unknown = sorted(set(given) - set(backend.options))
-    if unknown:
-        accepted = ", ".join(backend.options) if backend.options else "none"
-        raise ConfigError(
-            f"backend {backend.name!r} does not accept option(s) "
-            f"{', '.join(unknown)}; accepted: {accepted}"
-        )
-    return given
-
-
 def make_stepper(
     model: object,
     obstacles: object = None,
     backend: str = DEFAULT_BACKEND,
     recorder: Recorder | None = None,
-    **options: object,
 ) -> KernelStepper:
     """Build a stepper for ``model`` (and optional obstacles) by backend name.
 
-    Extra keywords are per-backend options (``workers`` for
-    ``"parallel"``); unset (``None``) options are ignored and options a
-    backend does not declare raise
-    :class:`~repro.util.errors.ConfigError`.  ``recorder`` is a
-    *universal* keyword, not a backend option: every shipped stepper
-    accepts it and reports kernel/halo timings through it (it is only
-    forwarded when set, so third-party factories without the parameter
-    keep working under the default null recorder).
+    Unknown names raise :class:`~repro.util.errors.ConfigError`.
+    Every shipped stepper accepts ``recorder`` and reports its kernel
+    timings through it; it is only forwarded when set, so third-party
+    factories without the parameter keep working under the default
+    null recorder.
     """
     chosen = get_backend(backend)
-    given = check_backend_options(chosen, options)
-    if recorder is not None:
-        given["recorder"] = recorder
-    return chosen.factory(model, obstacles, **given)
-
-
-def _parallel_factory(
-    model: object,
-    obstacles: object = None,
-    workers: object = "auto",
-    recorder: Recorder | None = None,
-) -> KernelStepper:
-    """Build a :class:`~repro.lgca.parallel.ParallelStepper` (lazy import)."""
-    from repro.lgca.parallel import ParallelStepper
-
-    return ParallelStepper(model, obstacles, workers=workers, recorder=recorder)  # type: ignore[arg-type]
+    if recorder is None:
+        return chosen.factory(model, obstacles)
+    return chosen.factory(model, obstacles, recorder=recorder)
 
 
 register_backend(
@@ -390,13 +339,5 @@ register_backend(
         name="bitplane",
         description="multi-spin coded kernels: 64 sites per word, boolean-algebra collision",
         factory=BitplaneStepper,
-    )
-)
-register_backend(
-    Backend(
-        name="parallel",
-        description="bit-plane kernels tiled over row slabs on a persistent thread pool",
-        factory=_parallel_factory,
-        options=("workers",),
     )
 )

@@ -539,7 +539,6 @@ class BitplaneKernel:
         if self._chirality == "random":
             self._rand_m = np.empty(shape, dtype=np.uint64)
             self._rand_not_m = np.empty(shape, dtype=np.uint64)
-        self._ext_chirality: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- plane <-> field conversion -------------------------------------------
 
@@ -559,36 +558,10 @@ class BitplaneKernel:
 
     # -- collision -------------------------------------------------------------
 
-    def set_external_chirality(
-        self, masks: tuple[np.ndarray, np.ndarray] | None
-    ) -> None:
-        """Override the chirality source with pre-packed mask planes.
-
-        ``masks`` is a ``(left, right)`` pair of ``(rows, W)`` uint64
-        planes (or ``None`` to restore the model's own field).  The
-        kernel keeps *references*: the caller may rewrite the arrays in
-        place between generations.  The parallel backend uses this to
-        distribute a globally drawn ``random`` chirality field to
-        slab-local kernels, preserving the whole-lattice RNG stream —
-        something per-slab draws could never reproduce.
-        """
-        if masks is not None:
-            shape = (self.rows, self.words)
-            for plane in masks:
-                if plane.shape != shape or plane.dtype != np.uint64:
-                    raise ValueError(
-                        f"chirality mask must be a uint64 plane of shape "
-                        f"{shape}; got {plane.dtype} {plane.shape}"
-                    )
-            masks = (masks[0], masks[1])
-        self._ext_chirality = masks
-
     def _chirality_planes(
         self, t: int, rng: np.random.Generator | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Packed (left-mask, right-mask) planes for generation ``t``."""
-        if self._ext_chirality is not None:
-            return self._ext_chirality
         if self._chirality == "alternate":
             return self._alt_masks[t % 2]
         assert self._chirality == "random"

@@ -36,6 +36,7 @@ import numpy as np
 from repro.lattice.geometry import FHP_DIRECTIONS
 from repro.lgca.bits import pack_channels, unpack_channels
 from repro.lgca.collision import CollisionTable
+from repro.util.errors import ConfigError
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -210,7 +211,7 @@ class FHPModel:
                 f"boundary={self.boundary!r} must be periodic, null, or reflecting"
             )
         if self.boundary == "periodic" and self.rows % 2:
-            raise ValueError(
+            raise ConfigError(
                 "periodic FHP lattices need an even number of rows "
                 "(the half-cell row offset must tile the torus)"
             )

@@ -258,7 +258,6 @@ SERIAL = register(
             "clock_hz",
             "post_collide",
             "backend",
-            "workers",
             "recorder",
         ),
         design_summary=_serial_design,
@@ -280,7 +279,6 @@ WSA = register(
             "clock_hz",
             "post_collide",
             "backend",
-            "workers",
             "recorder",
         ),
         design_summary=_wsa_design,
@@ -307,7 +305,6 @@ SPA = register(
             "post_collide",
             "failed_slices",
             "backend",
-            "workers",
             "recorder",
         ),
         default_params={"slice_width": 8},
@@ -332,7 +329,6 @@ WSA_E = register(
             "clock_hz",
             "post_collide",
             "backend",
-            "workers",
             "recorder",
         ),
         design_summary=_wsa_e_design,

@@ -28,7 +28,7 @@ __all__ = ["MachineCapabilities", "MachineSpec", "SCHEMA_NAME", "SCHEMA_VERSION"
 #: schema tag stamped into every ``describe()`` payload
 SCHEMA_NAME = "repro-machine"
 #: bump when the payload layout changes incompatibly
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class MachineCapabilities:
     ----------
     backends:
         Kernel backends the engine accepts (``"reference"`` always;
-        ``"bitplane"`` for the multi-spin coded kernels, ``"parallel"``
-        for those kernels tiled over a thread pool).
+        ``"bitplane"`` for the multi-spin coded kernels).
     fault_hooks:
         Whether ``post_collide`` fault-injection hooks are accepted
         (reference backend only, as everywhere).
@@ -55,30 +54,16 @@ class MachineCapabilities:
         (``failed_slices`` remapping).
     """
 
-    backends: tuple[str, ...] = ("reference", "bitplane", "parallel")
+    backends: tuple[str, ...] = ("reference", "bitplane")
     fault_hooks: bool = True
     tickwise: bool = True
     side_channel: bool = False
     degradable: bool = False
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready mapping of the capability flags.
-
-        ``backend_options`` maps each supported backend to the extra
-        keyword options it accepts (e.g. ``"parallel"`` -> ``["workers"]``),
-        read from the backend registry so the payload can never drift
-        from what :func:`~repro.lgca.backends.make_stepper` enforces.
-        Backends with no options are omitted from the mapping.
-        """
-        from repro.lgca.backends import available_backends
-
+        """JSON-ready mapping of the capability flags."""
         return {
             "backends": list(self.backends),
-            "backend_options": {
-                b.name: list(b.options)
-                for b in available_backends()
-                if b.name in self.backends and b.options
-            },
             "fault_hooks": self.fault_hooks,
             "tickwise": self.tickwise,
             "side_channel": self.side_channel,

@@ -8,9 +8,7 @@ lattice row-major, which makes slab views and halo rows contiguous.
 
 The slab geometry itself — :class:`~repro.lattice.slabs.Shard` and
 :func:`~repro.lattice.slabs.plan_shards` — lives in
-:mod:`repro.lattice.slabs`, shared with the thread-tiled ``"parallel"``
-kernel backend (:mod:`repro.lgca.parallel`); this module re-exports it
-and adds the process-level :class:`ShardRunner` on top.  See the slab
+:mod:`repro.lattice.slabs`; this module re-exports it and adds the process-level :class:`ShardRunner` on top.  See the slab
 planner's docstring for the halo-size invariants (even local start row,
 even local frame) and why refreshing two boundary rows per side per
 generation makes the slab interiors evolve bit-identically to the
@@ -20,8 +18,7 @@ Bit-identity at *this* layer holds for deterministic chirality policies
 only (``alternate``/``left``/``right``); per-site ``random`` chirality
 draws a whole-lattice field from one RNG stream, which independent
 worker processes cannot reproduce, and is rejected by the supervisor's
-config validation.  (The thread-level parallel backend *can* shard it,
-because its coordinator draws the field once and shares memory.)
+config validation.
 """
 
 from __future__ import annotations

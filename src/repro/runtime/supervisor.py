@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.lgca.backends import available_backends
+from repro.lgca.backends import get_backend
 from repro.resilience.checkpoint import CheckpointStore
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.modelspec import ModelSpec
@@ -190,19 +190,8 @@ class SupervisorConfig:
         check_nonnegative(self.breaker_cooldown, "breaker_cooldown")
         if self.deadline_seconds is not None:
             check_positive(self.deadline_seconds, "deadline_seconds")
-        known = tuple(b.name for b in available_backends())
         for name in (self.backend, self.fallback_backend):
-            if name not in known:
-                raise ConfigError(
-                    f"unknown backend {name!r}; available: {', '.join(known)}"
-                )
-            if name == "parallel":
-                raise ConfigError(
-                    "backend 'parallel' runs its own thread pool per stepper "
-                    "and cannot be nested under process-level sharding; the "
-                    "supervisor already parallelizes across workers — use "
-                    "'bitplane' (or 'reference') per worker"
-                )
+            get_backend(name)
         if self.spec.boundary not in _SHARDABLE_BOUNDARIES:
             raise ConfigError(
                 f"boundary={self.spec.boundary!r} cannot be sharded "

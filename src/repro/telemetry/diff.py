@@ -12,7 +12,7 @@ Supported schemas (BASE and HEAD must match):
   better); counters are compared informationally but never gate, since
   several (heartbeats, restarts) are timing-dependent by design;
 * ``repro/bench-kernels/*`` — per-result ``updates_per_second`` (higher
-  is better), keyed by model/size/backend/workers;
+  is better), keyed by model/size/backend;
 * ``repro/bench-supervisor/*`` — direct/supervised update rates (higher
   is better).
 
@@ -121,9 +121,6 @@ def _bench_kernels_metrics(payload: Mapping[str, object]) -> dict[str, Metric]:
             f"{row.get('model')}.{row.get('rows')}x{row.get('cols')}"
             f".{row.get('backend')}"
         )
-        workers = row.get("workers")
-        if workers is not None:
-            key += f".w{workers}"
         rate = row.get("updates_per_second")
         if isinstance(rate, (int, float)):
             name = f"rate:{key}"

@@ -37,9 +37,6 @@ HOT_PATH_REGISTRY: frozenset[str] = frozenset(
         "BitplaneKernel.propagate_into",
         "BitplaneStepper.step",
         "BitplaneStepper.run",
-        "ParallelStepper._advance_tile",
-        "ParallelStepper.step",
-        "ParallelStepper.run",
         "ReferenceStepper._advance",
         "ReferenceStepper.step",
         "ReferenceStepper.run",

@@ -4,7 +4,9 @@ Every public constructor in the library validates its inputs with these
 functions so that an invalid design parameter (say, a negative chip area
 or a zero-dimensional lattice) fails at construction time with a message
 naming the offending argument, instead of surfacing later as a cryptic
-NumPy broadcasting error deep inside a sweep.
+NumPy broadcasting error deep inside a sweep.  Range and NaN failures
+raise :class:`~repro.util.errors.ConfigError` (a ``ValueError``), so the
+CLI reports them as a one-line usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 import numbers
 from typing import Any
+
+from repro.util.errors import ConfigError
 
 __all__ = [
     "check_positive",
@@ -49,9 +53,9 @@ def check_positive(value: Any, name: str, *, integer: bool = False) -> Any:
     if not isinstance(value, numbers.Real):
         raise TypeError(f"{_name_value(name, value)} must be a real number")
     if math.isnan(float(value)):
-        raise ValueError(f"{_name_value(name, value)} must not be NaN")
+        raise ConfigError(f"{_name_value(name, value)} must not be NaN")
     if value <= 0:
-        raise ValueError(f"{_name_value(name, value)} must be positive")
+        raise ConfigError(f"{_name_value(name, value)} must be positive")
     return value
 
 
@@ -62,9 +66,9 @@ def check_nonnegative(value: Any, name: str, *, integer: bool = False) -> Any:
     if not isinstance(value, numbers.Real):
         raise TypeError(f"{_name_value(name, value)} must be a real number")
     if math.isnan(float(value)):
-        raise ValueError(f"{_name_value(name, value)} must not be NaN")
+        raise ConfigError(f"{_name_value(name, value)} must not be NaN")
     if value < 0:
-        raise ValueError(f"{_name_value(name, value)} must be non-negative")
+        raise ConfigError(f"{_name_value(name, value)} must be non-negative")
     return value
 
 
@@ -81,12 +85,12 @@ def check_in_range(
         raise TypeError(f"{_name_value(name, value)} must be a real number")
     if inclusive:
         if not (low <= value <= high):
-            raise ValueError(
+            raise ConfigError(
                 f"{_name_value(name, value)} must lie in [{low}, {high}]"
             )
     else:
         if not (low < value < high):
-            raise ValueError(
+            raise ConfigError(
                 f"{_name_value(name, value)} must lie in ({low}, {high})"
             )
     return value

@@ -18,7 +18,6 @@ from repro.lgca.automaton import LatticeGasAutomaton
 from repro.lgca.backends import BitplaneStepper, ReferenceStepper
 from repro.lgca.bitplane import BitplaneKernel
 from repro.lgca.fhp import FHPModel
-from repro.lgca.parallel import ParallelStepper
 from repro.lgca.flows import uniform_random_state
 from repro.lgca.hpp import HPPModel
 from repro.util.hotpath import HOT_PATH_REGISTRY, hot_path, is_hot_path
@@ -57,7 +56,6 @@ class TestRegistryIntegrity:
     CLASSES = {
         "BitplaneKernel": BitplaneKernel,
         "BitplaneStepper": BitplaneStepper,
-        "ParallelStepper": ParallelStepper,
         "ReferenceStepper": ReferenceStepper,
         "PipelineStage": PipelineStage,
     }

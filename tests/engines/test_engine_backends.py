@@ -18,14 +18,12 @@ def _state(model, seed=0):
     )
 
 
-def _engines(model, backend, **options):
+def _engines(model, backend):
     return [
-        SerialPipelineEngine(model, pipeline_depth=2, backend=backend, **options),
-        WideSerialEngine(model, lanes=3, pipeline_depth=2, backend=backend, **options),
-        PartitionedEngine(
-            model, slice_width=8, pipeline_depth=2, backend=backend, **options
-        ),
-        ExtensibleSerialEngine(model, pipeline_depth=2, backend=backend, **options),
+        SerialPipelineEngine(model, pipeline_depth=2, backend=backend),
+        WideSerialEngine(model, lanes=3, pipeline_depth=2, backend=backend),
+        PartitionedEngine(model, slice_width=8, pipeline_depth=2, backend=backend),
+        ExtensibleSerialEngine(model, pipeline_depth=2, backend=backend),
     ]
 
 
@@ -42,31 +40,6 @@ def test_bitplane_engines_match_reference(model):
         np.testing.assert_array_equal(out_ref, out_fast, err_msg=ref.name)
         # stats model the hardware, not the software backend
         assert stats_ref == stats_fast
-
-
-@pytest.mark.parametrize(
-    "model",
-    [HPPModel(10, 66, boundary="null"), FHPModel(10, 66, boundary="null")],
-    ids=["hpp", "fhp6"],
-)
-def test_parallel_engines_match_reference(model):
-    state = _state(model)
-    for ref, fast in zip(
-        _engines(model, "reference"), _engines(model, "parallel", workers=2)
-    ):
-        out_ref, stats_ref = ref.run(state, 5)
-        out_fast, stats_fast = fast.run(state, 5)
-        np.testing.assert_array_equal(out_ref, out_fast, err_msg=ref.name)
-        assert stats_ref == stats_fast
-
-
-def test_workers_rejected_without_parallel_backend():
-    from repro.util.errors import ConfigError
-
-    model = HPPModel(8, 32, boundary="null")
-    for backend in ("reference", "bitplane"):
-        with pytest.raises(ConfigError, match="does not accept option"):
-            SerialPipelineEngine(model, backend=backend, workers=2)
 
 
 def test_stats_accounting_independent_of_backend():

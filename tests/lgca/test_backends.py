@@ -19,7 +19,6 @@ from repro.lgca.backends import (
     KernelStepper,
     ReferenceStepper,
     available_backends,
-    check_backend_options,
     get_backend,
     make_stepper,
     register_backend,
@@ -35,15 +34,14 @@ GENERATIONS = 8  # enough for propagation to wrap small lattices
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = [b.name for b in available_backends()]
-        assert names == ["bitplane", "parallel", "reference"]
+        assert names == ["bitplane", "reference"]
 
     def test_get_backend(self):
         assert get_backend("reference").factory is ReferenceStepper
         assert get_backend("bitplane").factory is BitplaneStepper
-        assert get_backend("parallel").options == ("workers",)
 
     def test_unknown_backend_lists_choices_sorted(self):
-        with pytest.raises(ConfigError, match="bitplane, parallel, reference"):
+        with pytest.raises(ConfigError, match="bitplane, reference"):
             get_backend("vectorized")
 
     def test_duplicate_registration_rejected(self):
@@ -52,11 +50,11 @@ class TestRegistry:
                 Backend(name="reference", description="dup", factory=ReferenceStepper)
             )
         # the error names the existing choices, sorted
-        assert "bitplane, parallel, reference" in str(exc.value)
+        assert "bitplane, reference" in str(exc.value)
 
     def test_make_stepper_satisfies_protocol(self):
         model = HPPModel(4, 4)
-        for name in ("reference", "bitplane", "parallel"):
+        for name in ("reference", "bitplane"):
             assert isinstance(make_stepper(model, backend=name), KernelStepper)
 
     def test_automaton_rejects_unknown_backend(self):
@@ -65,16 +63,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             LatticeGasAutomaton(model, state, backend="nope")
 
-    def test_unknown_option_rejected_uniformly(self):
-        for name in ("reference", "bitplane"):
-            with pytest.raises(ConfigError, match="does not accept option"):
-                check_backend_options(name, {"workers": 2})
-        with pytest.raises(ConfigError, match="does not accept option"):
-            make_stepper(HPPModel(4, 4), backend="bitplane", workers=2)
-
-    def test_none_options_are_ignored(self):
-        assert check_backend_options("reference", {"workers": None}) == {}
-        assert check_backend_options("parallel", {"workers": 2}) == {"workers": 2}
 
 
 def _trajectories_equal(model, state, *, obstacles=None, seed=None):

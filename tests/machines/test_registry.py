@@ -168,7 +168,7 @@ class TestDescribe:
         for spec in machines.specs():
             payload = spec.describe()
             assert payload["schema"] == machines.SCHEMA_NAME == "repro-machine"
-            assert payload["version"] == machines.SCHEMA_VERSION == 1
+            assert payload["version"] == machines.SCHEMA_VERSION == 2
 
     def test_payload_shape(self):
         payload = machines.get("wsa").describe()
@@ -178,7 +178,6 @@ class TestDescribe:
         assert "lanes" in payload["parameters"]["accepted"]
         assert set(payload["capabilities"]) == {
             "backends",
-            "backend_options",
             "fault_hooks",
             "tickwise",
             "side_channel",
@@ -186,13 +185,16 @@ class TestDescribe:
         }
         assert payload["design"]  # non-empty design-model summary
 
-    def test_backend_options_reflect_registry(self):
-        """The payload's per-backend options come from the live backend
-        registry, so they can never drift from what make_stepper enforces."""
+    def test_backends_match_registry(self):
+        """Every machine lists exactly the registered kernel backends, and
+        no machine takes a per-backend option."""
+        from repro.lgca.backends import available_backends
+
+        registered = [b.name for b in available_backends()]
         for spec in machines.specs():
             caps = spec.describe()["capabilities"]
-            assert caps["backend_options"] == {"parallel": ["workers"]}
-            assert "workers" in spec.parameters
+            assert sorted(caps["backends"]) == registered == ["bitplane", "reference"]
+            assert "workers" not in spec.parameters
 
     def test_payload_is_json_serializable(self):
         import json

@@ -1,7 +1,16 @@
-"""Tests for row-slab sharding: geometry invariants and bit-identity."""
+"""Tests for row-slab sharding: geometry invariants and bit-identity.
+
+Process shards are the repo's one multi-core path, so the bit-identity
+matrix lives here: for every model, boundary, chirality policy, worker
+count and backend, the sharded evolution must equal the whole-lattice
+reference run, including uneven slab splits and obstacles that straddle
+a shard boundary.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
 from repro.runtime.modelspec import ModelSpec
@@ -29,24 +38,12 @@ class TestPlanShards:
             assert 1 <= shard.halo_top <= BOUNDARY_ROWS
             assert 1 <= shard.halo_bottom <= BOUNDARY_ROWS
 
-    def test_rejects_too_many_workers(self):
+    @settings(max_examples=25, deadline=None)
+    @given(workers=st.integers(1, 16), data=st.data())
+    def test_rejects_too_many_workers(self, workers, data):
+        rows = data.draw(st.integers(1, BOUNDARY_ROWS * workers - 1))
         with pytest.raises(ConfigError, match="at least"):
-            plan_shards(6, 4)
-
-    @pytest.mark.parametrize("rows,workers", [(16, 2), (17, 3), (23, 5)])
-    def test_edge_halos_false_strips_outer_halos(self, rows, workers):
-        """Walled lattices: the first/last slab's frame edge must BE the
-        lattice edge, so local reflections fire at the true wall."""
-        shards = plan_shards(rows, workers, edge_halos=False)
-        assert shards[0].halo_top == 0
-        assert shards[-1].halo_bottom == 0
-        for shard in shards[1:]:
-            assert shard.halo_top >= 1
-        for shard in shards[:-1]:
-            assert shard.halo_bottom >= 1
-        # interior slab frames keep the even-start parity invariant
-        for shard in shards:
-            assert (shard.row_start - shard.halo_top) % 2 == 0
+            plan_shards(rows, workers)
 
     def test_local_row_indices_wrap(self):
         shard = plan_shards(16, 2)[1]  # bottom slab wraps past the edge
@@ -119,6 +116,126 @@ class TestShardRunnerBitIdentity:
         auto.run(8)
         sharded = _evolve_sharded(spec, init, 8, 2, "reference", obstacles=mask)
         assert np.array_equal(sharded, auto.state)
+
+
+#: (kind, chirality) for every model the matrix draws: HPP, and FHP with
+#: and without rest particles under each deterministic chirality policy.
+MODEL_VARIANTS = [("hpp", "alternate")] + [
+    (kind, chirality)
+    for kind in ("fhp6", "fhp7")
+    for chirality in ("alternate", "left", "right")
+]
+MATRIX_GENERATIONS = 6  # enough for halo errors to reach slab interiors
+
+
+def _reference_run(spec, init, generations, obstacles=None):
+    """The whole-lattice golden evolution."""
+    auto = LatticeGasAutomaton(
+        spec.build(),
+        init.copy(),
+        obstacles=None if obstacles is None else ObstacleMap(obstacles),
+    )
+    auto.run(generations)
+    return auto.state
+
+
+class TestShardMatrix:
+    """Sharded runs are bit-identical to the whole-lattice reference."""
+
+    @pytest.mark.parametrize("backend", ["reference", "bitplane"])
+    @pytest.mark.parametrize(
+        "kind,chirality",
+        MODEL_VARIANTS,
+        ids=[k if k == "hpp" else f"{k}-{c}" for k, c in MODEL_VARIANTS],
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(4, 25),
+        cols=st.sampled_from([17, 63, 65, 130]),
+        boundary=st.sampled_from(["periodic", "null"]),
+        workers=st.sampled_from([1, 2, 3, 5]),
+    )
+    def test_bit_identical_to_whole_lattice(
+        self, kind, chirality, backend, seed, rows, cols, boundary, workers
+    ):
+        if kind != "hpp" and boundary == "periodic":
+            rows += rows % 2  # periodic FHP needs even rows; null keeps odd ones
+        workers = min(workers, rows // BOUNDARY_ROWS)
+        spec = ModelSpec(
+            kind=kind, rows=rows, cols=cols, boundary=boundary, chirality=chirality
+        )
+        init = spec.initial_state(0.35, seed)
+        sharded = _evolve_sharded(spec, init, MATRIX_GENERATIONS, workers, backend)
+        np.testing.assert_array_equal(
+            sharded,
+            _reference_run(spec, init, MATRIX_GENERATIONS),
+            err_msg=f"{kind}/{chirality} {rows}x{cols} {boundary} "
+            f"workers={workers} backend={backend}",
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        workers=st.sampled_from([2, 3, 5]),
+        backend=st.sampled_from(["reference", "bitplane"]),
+        boundary=st.sampled_from(["periodic", "null"]),
+    )
+    def test_obstacle_bar_crossing_shard_boundary(
+        self, seed, workers, backend, boundary
+    ):
+        spec = ModelSpec(kind="fhp6", rows=22, cols=65, boundary=boundary)
+        edge = plan_shards(spec.rows, workers)[0].row_stop
+        mask = np.zeros((spec.rows, spec.cols), dtype=bool)
+        mask[edge - 2 : edge + 2, 10:50] = True  # straddles shards 0 and 1
+        init = spec.initial_state(0.35, seed)
+        init[mask] = 0
+        sharded = _evolve_sharded(
+            spec, init, MATRIX_GENERATIONS, workers, backend, obstacles=mask
+        )
+        np.testing.assert_array_equal(
+            sharded, _reference_run(spec, init, MATRIX_GENERATIONS, obstacles=mask)
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        obstacle_seed=st.integers(0, 2**31 - 1),
+        workers=st.sampled_from([2, 3, 5]),
+        backend=st.sampled_from(["reference", "bitplane"]),
+        boundary=st.sampled_from(["periodic", "null"]),
+    )
+    def test_scattered_obstacles_across_shards(
+        self, seed, obstacle_seed, workers, backend, boundary
+    ):
+        spec = ModelSpec(kind="hpp", rows=10, cols=67, boundary=boundary)
+        mask = np.random.default_rng(obstacle_seed).random((10, 67)) < 0.15
+        init = spec.initial_state(0.35, seed)
+        init[mask] = 0
+        sharded = _evolve_sharded(
+            spec, init, MATRIX_GENERATIONS, workers, backend, obstacles=mask
+        )
+        np.testing.assert_array_equal(
+            sharded, _reference_run(spec, init, MATRIX_GENERATIONS, obstacles=mask)
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        workers=st.sampled_from([2, 3]),
+        backend=st.sampled_from(["reference", "bitplane"]),
+    )
+    def test_fhp_saturated_obstacles_across_shards(self, seed, workers, backend):
+        spec = ModelSpec(kind="fhp-sat", rows=8, cols=64)
+        mask = np.random.default_rng(seed + 1).random((8, 64)) < 0.15
+        init = spec.initial_state(0.35, seed)
+        init[mask] = 0
+        sharded = _evolve_sharded(
+            spec, init, MATRIX_GENERATIONS, workers, backend, obstacles=mask
+        )
+        np.testing.assert_array_equal(
+            sharded, _reference_run(spec, init, MATRIX_GENERATIONS, obstacles=mask)
+        )
 
 
 class TestShardRunnerValidation:

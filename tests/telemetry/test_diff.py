@@ -47,8 +47,8 @@ def bench_kernels_payload(rate: float) -> dict:
         "results": [
             {"model": "fhp6", "rows": 512, "cols": 512, "backend": "bitplane",
              "updates_per_second": rate},
-            {"model": "fhp6", "rows": 512, "cols": 512, "backend": "parallel",
-             "workers": 2, "updates_per_second": rate * 1.5},
+            {"model": "fhp6", "rows": 512, "cols": 512, "backend": "reference",
+             "updates_per_second": rate / 4},
         ],
     }
 
@@ -134,10 +134,12 @@ class TestBenchSchemas:
         assert all(d.change_percent == pytest.approx(20.0) for d in deltas)
         assert all(d.regression(10.0) for d in deltas)
 
-    def test_bench_kernels_keys_include_workers(self):
+    def test_bench_kernels_keys_name_model_size_backend(self):
         _, metrics = extract_metrics(bench_kernels_payload(1e6))
-        assert "rate:fhp6.512x512.parallel.w2" in metrics
-        assert "rate:fhp6.512x512.bitplane" in metrics
+        assert set(metrics) == {
+            "rate:fhp6.512x512.bitplane",
+            "rate:fhp6.512x512.reference",
+        }
 
     def test_bench_supervisor_takes_best_of_repeats(self):
         _, metrics = extract_metrics(bench_supervisor_payload(1e6, 0.9e6))

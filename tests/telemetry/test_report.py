@@ -144,7 +144,7 @@ class TestSummaries:
     def test_total_seconds_sums_by_prefix(self):
         rec = InMemoryRecorder(clock=StepClock())
         rec.timer("kernel.bitplane.tick_seconds").record(1.0)
-        rec.timer("kernel.parallel.halo.tile00_seconds").record(2.0)
+        rec.timer("kernel.reference.tick_seconds").record(2.0)
         rec.timer("bench.kernels.x.pass_seconds").record(4.0)
         report = TelemetryReport.from_recorder(rec)
         assert report.total_seconds("kernel.") == pytest.approx(3.0)

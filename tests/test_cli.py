@@ -136,35 +136,41 @@ class TestSimulate:
         assert code == 0
         assert "bit-exact" in capsys.readouterr().out
 
-    def test_parallel_backend(self, capsys):
-        args = [
-            "simulate", "--model", "fhp7", "--rows", "16", "--cols", "70",
-            "--steps", "8", "--backend", "parallel", "--workers", "2",
-        ]
-        assert main(args) == 0
+    def test_workers_flag_is_not_accepted(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--workers", "2", "--steps", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
-    def test_parallel_backend_engine_bit_exact(self, capsys):
-        args = [
-            "simulate", "--model", "hpp", "--rows", "12", "--cols", "66",
-            "--steps", "6", "--engine", "wsa", "--backend", "parallel",
-            "--workers", "3",
-        ]
-        assert main(args) == 0
-        assert "bit-exact" in capsys.readouterr().out
 
-    def test_workers_without_parallel_backend_is_uniform_error(self, capsys):
-        args = [
-            "simulate", "--backend", "bitplane", "--workers", "2", "--steps", "2",
-        ]
-        assert main(args) == 2
-        assert "does not accept option" in capsys.readouterr().err
+class TestInvalidInput:
+    """Invalid lattice input is a one-line usage error, never a traceback.
 
-    def test_bad_workers_value_is_usage_error(self, capsys):
-        args = [
-            "simulate", "--backend", "parallel", "--workers", "zero", "--steps", "2",
-        ]
-        assert main(args) == 2
-        assert "workers" in capsys.readouterr().err
+    An exception escaping ``main`` is what prints a traceback (and exits
+    1, the code ``run`` uses for a failed run), so ``main`` must return 2
+    with the message on stderr.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "fhp6", "--rows", "7"],
+            ["simulate", "--rows", "0"],
+            ["simulate", "--density", "1.5"],
+            ["simulate", "--density", "nan"],
+            ["simulate", "--steps", "-1"],
+            ["run", "--rows", "7"],
+            ["run", "--supervised", "--workers", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_2_with_one_line_message(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith(f"repro {argv[0]}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in captured.err
 
 
 class TestBounds:
@@ -204,7 +210,7 @@ class TestMachinesRegistry:
         assert main(["machines", "list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-machine"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert [m["name"] for m in payload["machines"]] == [
             "serial",
             "wsa",
@@ -224,6 +230,7 @@ class TestMachinesRegistry:
         assert payload["schema"] == "repro-machine"
         assert payload["name"] == "spa"
         assert payload["capabilities"]["side_channel"] is True
+        assert payload["capabilities"]["backends"] == ["reference", "bitplane"]
         assert payload["parameters"]["defaults"] == {"slice_width": 8}
         assert "design" in payload
 
@@ -429,33 +436,31 @@ class TestRun:
         assert main(args) == 2
         assert "meteor" in capsys.readouterr().err
 
-    def test_direct_run_parallel_backend(self, capsys):
-        args = [
-            "run", "--rows", "32", "--cols", "32", "--generations", "4",
-            "--backend", "parallel", "--workers", "2",
-        ]
-        assert main(args) == 0
-        assert "Direct run" in capsys.readouterr().out
+    def test_direct_run_rejects_workers(self, capsys):
+        args = ["run", "--rows", "16", "--cols", "16", "--workers", "2"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "--supervised" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_supervised_rejects_parallel_backend(self, capsys):
-        args = ["run", "--supervised", "--backend", "parallel"]
-        assert main(args) == 2
-        assert "parallel" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--supervised", "--backend", "parallel"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
 
     def test_supervised_rejects_non_integer_workers(self, capsys):
-        args = ["run", "--supervised", "--workers", "auto"]
-        assert main(args) == 2
-        assert "integer" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--supervised", "--workers", "auto"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'auto'" in capsys.readouterr().err
 
-    def test_faults_rejects_workers_with_wrong_backend(self, capsys):
-        args = ["faults", "--backend", "bitplane", "--workers", "2"]
-        assert main(args) == 2
-        assert "does not accept option" in capsys.readouterr().err
-
-    def test_faults_rejects_non_reference_backend(self, capsys):
-        args = ["faults", "--backend", "parallel", "--workers", "2"]
-        assert main(args) == 2
-        assert "reference" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--backend", "--workers"])
+    def test_faults_takes_no_backend_or_workers(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_bad_induce_generation_is_usage_error(self, capsys):
         args = ["run", "--supervised", "--induce", "kill:0@notanumber"]
