@@ -51,6 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.util.errors import ReproError
+from repro.util.validation import check_nonnegative
 
 __all__ = ["main", "build_parser"]
 
@@ -1238,6 +1239,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            check_nonnegative(args.seed, "--seed", integer=True)
         return args.func(args)
     except ReproError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.util.validation import check_positive
 
@@ -125,7 +124,14 @@ def feasibility_corner(
         # Pins binding everywhere: corner at the right endpoint.
         x_star = x_max
     else:
-        x_star = float(brentq(gap, x_min, x_max, xtol=1e-9))
+        # Bisection on the sign change; gap > 0 left of the corner.
+        lo, hi = x_min, x_max
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # interval at float resolution
+                break
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        x_star = 0.5 * (lo + hi)
     p_star = min(pin_limit(x_star), area_limit(x_star))
     return DesignPoint(x=x_star, p=max(0.0, p_star))
 

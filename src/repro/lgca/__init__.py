@@ -75,6 +75,7 @@ from repro.lgca.observables import (
     momentum_field,
     total_mass,
     total_momentum,
+    conserved_totals,
     coarse_grain,
     mean_velocity_field,
     reynolds_number,
@@ -127,6 +128,7 @@ __all__ = [
     "momentum_field",
     "total_mass",
     "total_momentum",
+    "conserved_totals",
     "coarse_grain",
     "mean_velocity_field",
     "reynolds_number",

@@ -27,6 +27,7 @@ __all__ = [
     "has_particle",
     "opposite_channels",
     "bounce_back_table",
+    "shift_plane_into",
 ]
 
 _POPCOUNT_CACHE: dict[int, np.ndarray] = {}
@@ -187,3 +188,38 @@ def unpack_channels(
         np.right_shift(states, np.uint8(bit), out=out[bit], casting="unsafe")
         out[bit] &= np.uint8(1)
     return out
+
+
+def shift_plane_into(
+    plane: np.ndarray, out: np.ndarray, dr: int, dc: int, boundary: str
+) -> None:
+    """Shift a 0/1 channel plane by (dr, dc) into ``out`` (no aliasing).
+
+    For ``"reflecting"`` the plane is shifted with null semantics; the
+    caller then re-injects reversed particles at the walls.  Implemented
+    with slice assignment so no temporaries are allocated.  Both lattice
+    gases propagate with it: HPP moves each channel along one axis, FHP
+    shifts even and odd rows by their column offsets, then by the row
+    offset.
+    """
+    if dr != 0 and dc != 0:
+        raise ValueError("only single-axis shifts are supported")
+    rows, cols = plane.shape
+    periodic = boundary == "periodic"
+    if not periodic:
+        out[...] = 0
+    src_r = slice(max(0, -dr), rows - max(0, dr))
+    dst_r = slice(max(0, dr), rows - max(0, -dr))
+    src_c = slice(max(0, -dc), cols - max(0, dc))
+    dst_c = slice(max(0, dc), cols - max(0, -dc))
+    out[dst_r, dst_c] = plane[src_r, src_c]
+    if periodic:
+        # Wrap the rows/columns the block copy above left out.
+        if dr > 0:
+            out[:dr, dst_c] = plane[rows - dr :, src_c]
+        elif dr < 0:
+            out[dr:, dst_c] = plane[:-dr, src_c]
+        if dc > 0:
+            out[:, :dc] = plane[:, cols - dc :]
+        elif dc < 0:
+            out[:, dc:] = plane[:, :-dc]

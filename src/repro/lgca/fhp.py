@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lattice.geometry import FHP_DIRECTIONS
-from repro.lgca.bits import pack_channels, unpack_channels
+from repro.lgca.bits import pack_channels, shift_plane_into, unpack_channels
 from repro.lgca.collision import CollisionTable
 from repro.util.errors import ConfigError
 from repro.util.validation import check_positive
@@ -229,7 +229,8 @@ class FHPModel:
             self._left, self._right = fhp7_collision_tables()
         else:
             self._left, self._right = fhp6_collision_tables()
-        self._build_propagation_maps()
+        if self.boundary == "reflecting":
+            self._tgt_invalid = self._target_invalid_masks()
 
     # -- public metadata ----------------------------------------------------
 
@@ -344,22 +345,30 @@ class FHPModel:
         """
         if check:
             state = self.check_state(state)
-        nmov = 6
         channels = unpack_channels(
             state, self.num_channels, out=self._scratch("ch_in", np.uint8)
         )
         planes = self._scratch("ch_out", np.uint8)
+        stage = self._scratch("stage", np.uint8)
         if self.rest_particles:
             np.copyto(planes[6], channels[6])  # rest particles stay put
-        for ch in range(nmov):
-            np.take(
-                channels[ch].ravel(), self._src_flat_1d[ch], out=planes[ch].ravel()
-            )
-            if self.boundary != "periodic":
-                planes[ch] &= self._dst_valid[ch]
+        for ch in range(6):
+            dc_even, dc_odd = _COL_OFFSET_EVEN[ch], _COL_OFFSET_ODD[ch]
+            # The column offset depends on the *source* row's parity, so
+            # even and odd rows shift separately before the row move.
+            if dc_even == dc_odd:
+                shift_plane_into(channels[ch], stage, 0, dc_even, self.boundary)
+            else:
+                shift_plane_into(
+                    channels[ch][0::2], stage[0::2], 0, dc_even, self.boundary
+                )
+                shift_plane_into(
+                    channels[ch][1::2], stage[1::2], 0, dc_odd, self.boundary
+                )
+            shift_plane_into(stage, planes[ch], _ROW_OFFSET[ch], 0, self.boundary)
         if self.boundary == "reflecting":
             bounced = self._scratch("bounced", np.uint8)[0]
-            for ch in range(nmov):
+            for ch in range(6):
                 opposite = (ch + 3) % 6
                 np.bitwise_and(channels[ch], self._tgt_invalid[ch], out=bounced)
                 planes[opposite] |= bounced
@@ -397,58 +406,19 @@ class FHPModel:
             buffers[(key, dt)] = buf
         return buf
 
-    # -- propagation index maps ----------------------------------------------
-
-    def _build_propagation_maps(self) -> None:
-        """Precompute flat gather indices per channel.
-
-        For destination site ``(r, c)`` of channel ``ch`` the source is
-        ``(r - dr, c - dc(parity of source row))``.  Periodic boundaries
-        wrap; otherwise invalid destinations are masked by
-        ``_dst_valid``.  ``_tgt_invalid`` marks *source* sites whose
-        forward target leaves the grid (used for bounce-back).
-        """
-        rows, cols = self.rows, self.cols
-        r_dst = np.arange(rows)[:, None] * np.ones(cols, dtype=np.int64)[None, :]
-        c_dst = np.ones(rows, dtype=np.int64)[:, None] * np.arange(cols)[None, :]
-        r_dst = r_dst.astype(np.int64)
-        c_dst = c_dst.astype(np.int64)
-
-        self._src_flat: list[np.ndarray] = []
-        self._dst_valid: list[np.ndarray] = []
-        self._tgt_invalid: list[np.ndarray] = []
-        for ch in range(6):
-            dr = _ROW_OFFSET[ch]
-            r_src = r_dst - dr
-            if self.boundary == "periodic":
-                r_src_wrapped = r_src % rows
-            else:
-                r_src_wrapped = np.clip(r_src, 0, rows - 1)
-            parity = r_src_wrapped % 2
-            dc = np.where(
-                parity == 0, _COL_OFFSET_EVEN[ch], _COL_OFFSET_ODD[ch]
-            ).astype(np.int64)
-            c_src = c_dst - dc
-            if self.boundary == "periodic":
-                c_src_wrapped = c_src % cols
-                valid = np.ones((rows, cols), dtype=np.uint8)
-            else:
-                valid = (
-                    (r_src >= 0) & (r_src < rows) & (c_src >= 0) & (c_src < cols)
-                ).astype(np.uint8)
-                c_src_wrapped = np.clip(c_src, 0, cols - 1)
-            flat = (r_src_wrapped * cols + c_src_wrapped).astype(np.int64)
-            self._src_flat.append(flat)
-            self._dst_valid.append(valid)
-
-            # Forward targets from the source side, for bounce-back.
-            src_parity = np.arange(rows)[:, None] % 2
-            fwd_dc = np.where(
-                src_parity == 0, _COL_OFFSET_EVEN[ch], _COL_OFFSET_ODD[ch]
-            )
-            r_tgt = np.arange(rows)[:, None] + dr + np.zeros(cols, dtype=np.int64)
-            c_tgt = np.arange(cols)[None, :] + fwd_dc
-            invalid = ~((r_tgt >= 0) & (r_tgt < rows) & (c_tgt >= 0) & (c_tgt < cols))
-            self._tgt_invalid.append(invalid.astype(np.uint8))
-        # Flat gather indices for np.take(..., out=...) in propagate().
-        self._src_flat_1d = [f.ravel() for f in self._src_flat]
+    def _target_invalid_masks(self) -> np.ndarray:
+        """Per channel, the source sites whose forward target leaves the
+        grid (uint8, one plane per moving channel) — the bounce-back
+        sites of a reflecting wall."""
+        masks = np.zeros((6, self.rows, self.cols), dtype=np.uint8)
+        for ch, mask in enumerate(masks):
+            if _ROW_OFFSET[ch] < 0:
+                mask[0] = 1
+            elif _ROW_OFFSET[ch] > 0:
+                mask[-1] = 1
+            for parity, dc in enumerate((_COL_OFFSET_EVEN[ch], _COL_OFFSET_ODD[ch])):
+                if dc > 0:
+                    mask[parity::2, -1] = 1
+                elif dc < 0:
+                    mask[parity::2, 0] = 1
+        return masks

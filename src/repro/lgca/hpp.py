@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.lgca.bits import unpack_channels, pack_channels
+from repro.lgca.bits import pack_channels, shift_plane_into, unpack_channels
 from repro.lgca.collision import CollisionTable
 from repro.util.validation import check_positive
 
@@ -163,7 +163,7 @@ class HPPModel:
         ch_in = unpack_channels(state, 4, out=self._scratch("ch_in"))
         ch_out = self._scratch("ch_out")
         for bit, (dr, dc) in enumerate(HPP_OFFSETS):
-            _shift_plane_into(ch_in[bit], ch_out[bit], dr, dc, self.boundary)
+            shift_plane_into(ch_in[bit], ch_out[bit], dr, dc, self.boundary)
         if self.boundary == "reflecting":
             _reflect_edges_square(ch_in, ch_out)
         if out is None:
@@ -191,38 +191,6 @@ class HPPModel:
             buf = np.empty((4, self.rows, self.cols), dtype=np.uint8)
             buffers[key] = buf
         return buf
-
-
-def _shift_plane_into(
-    plane: np.ndarray, out: np.ndarray, dr: int, dc: int, boundary: str
-) -> None:
-    """Shift a 0/1 channel plane by (dr, dc) into ``out`` (no aliasing).
-
-    For ``"reflecting"`` the plane is shifted with null semantics; the
-    caller then re-injects reversed particles at the walls.  Implemented
-    with slice assignment so no temporaries are allocated.
-    """
-    if dr != 0 and dc != 0:
-        raise ValueError("only single-axis shifts are supported (HPP offsets)")
-    rows, cols = plane.shape
-    periodic = boundary == "periodic"
-    if not periodic:
-        out[...] = 0
-    src_r = slice(max(0, -dr), rows - max(0, dr))
-    dst_r = slice(max(0, dr), rows - max(0, -dr))
-    src_c = slice(max(0, -dc), cols - max(0, dc))
-    dst_c = slice(max(0, dc), cols - max(0, -dc))
-    out[dst_r, dst_c] = plane[src_r, src_c]
-    if periodic:
-        # Wrap the rows/columns the block copy above left out.
-        if dr > 0:
-            out[:dr, dst_c] = plane[rows - dr :, src_c]
-        elif dr < 0:
-            out[dr:, dst_c] = plane[:-dr, src_c]
-        if dc > 0:
-            out[:, :dc] = plane[:, cols - dc :]
-        elif dc < 0:
-            out[:, dc:] = plane[:, :-dc]
 
 
 def _reflect_edges_square(channels_in: np.ndarray, channels_out: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lgca.bits import popcount, unpack_channels
+from repro.lgca.bits import popcount, popcount_table, unpack_channels
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "momentum_field",
     "total_mass",
     "total_momentum",
+    "conserved_totals",
     "coarse_grain",
     "mean_velocity_field",
     "reynolds_number",
@@ -44,14 +45,36 @@ def momentum_field(state: np.ndarray, velocities: np.ndarray) -> np.ndarray:
     return out
 
 
+def _site_word_counts(state: np.ndarray, num_channels: int) -> np.ndarray:
+    """How many sites hold each of the ``2^C`` site words (one bincount)."""
+    num_states = 1 << num_channels
+    counts = np.bincount(np.asarray(state).ravel(), minlength=num_states)
+    if counts.size > num_states:
+        raise ValueError(f"site states must fit in {num_channels} bits")
+    return counts
+
+
+def conserved_totals(state: np.ndarray, velocities: np.ndarray) -> tuple[int, np.ndarray]:
+    """Total mass and momentum from one histogram of the site words.
+
+    Both invariants are per-word lookup tables dotted with the integer
+    word counts: O(N) bincount plus O(2^C) dot, no per-site field.
+    """
+    velocities = np.asarray(velocities, dtype=np.float64)
+    num_channels = velocities.shape[0]
+    bits = (np.arange(1 << num_channels)[:, None] >> np.arange(num_channels)) & 1
+    counts = _site_word_counts(state, num_channels)
+    return int(counts @ bits.sum(axis=1)), counts @ (bits @ velocities)
+
+
 def total_mass(state: np.ndarray, num_channels: int) -> int:
     """Total particle count — conserved exactly by collide and propagate."""
-    return int(density_field(state, num_channels).sum())
+    return int(_site_word_counts(state, num_channels) @ popcount_table(num_channels))
 
 
 def total_momentum(state: np.ndarray, velocities: np.ndarray) -> np.ndarray:
     """Total momentum vector — conserved on periodic lattices."""
-    return momentum_field(state, velocities).sum(axis=(0, 1))
+    return conserved_totals(state, velocities)[1]
 
 
 def coarse_grain(field: np.ndarray, window: int) -> np.ndarray:

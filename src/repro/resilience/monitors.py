@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.lgca.automaton import SiteModel
+from repro.lgca.observables import conserved_totals
 from repro.telemetry import NULL_RECORDER, Recorder
 
 __all__ = [
@@ -136,31 +137,12 @@ class ConservationMonitor:
             )
         self.model = model
         self.momentum_atol = momentum_atol
-        # Per-state-value lookup tables: both invariants come from one
-        # histogram of the 2^C possible site words, not from a per-site
-        # field — O(N) bincount + O(2^C) dot, ~50x cheaper than
-        # materializing a momentum field every generation.
-        num_states = 1 << model.num_channels
-        bits = (
-            np.arange(num_states)[:, None] >> np.arange(model.num_channels)
-        ) & 1
-        self._num_states = num_states
-        self._mass_lut = bits.sum(axis=1).astype(np.int64)
-        self._momentum_lut = bits.astype(np.float64) @ np.asarray(
-            model.velocities, dtype=np.float64
-        )
         self._mass: int | None = None
         self._momentum: np.ndarray | None = None
 
-    def _invariants(self, state: np.ndarray) -> tuple[int, np.ndarray]:
-        counts = np.bincount(
-            np.asarray(state).ravel(), minlength=self._num_states
-        )
-        return int(counts @ self._mass_lut), counts @ self._momentum_lut
-
     def arm(self, state: np.ndarray) -> None:
         """Record the invariants of the initial (trusted) state."""
-        self._mass, self._momentum = self._invariants(state)
+        self._mass, self._momentum = conserved_totals(state, self.model.velocities)
 
     def rearm(self, state: np.ndarray) -> None:
         """Re-record invariants after a trusted restore (checkpoints)."""
@@ -171,7 +153,7 @@ class ConservationMonitor:
         if self._mass is None or self._momentum is None:
             return []
         detections = []
-        mass, momentum = self._invariants(state)
+        mass, momentum = conserved_totals(state, self.model.velocities)
         if mass != self._mass:
             detections.append(
                 Detection(

@@ -7,6 +7,7 @@ from it).  These tests pin them to each other.
 """
 
 import numpy as np
+import pytest
 
 from repro.engines.pe import make_rule
 from repro.lattice.geometry import HexagonalLattice, OrthogonalLattice
@@ -16,23 +17,49 @@ from repro.pebbling.graph import ComputationGraph
 
 
 class TestFHPGeometryAgreement:
-    def test_propagation_matches_hexagonal_lattice(self):
+    @pytest.mark.parametrize(
+        "boundary, rows, cols, rest_particles",
+        [
+            ("null", 8, 8, False),
+            ("null", 7, 1, False),
+            ("null", 5, 65, False),
+            ("null", 7, 9, True),
+            ("periodic", 8, 8, False),
+            ("periodic", 6, 65, True),
+            ("periodic", 4, 1, False),
+            ("reflecting", 8, 8, False),
+            ("reflecting", 7, 65, True),
+        ],
+    )
+    def test_propagation_matches_hexagonal_lattice(
+        self, boundary, rows, cols, rest_particles
+    ):
         """A particle sent along direction ch from (r, c) lands exactly
-        where HexagonalLattice.neighbor says it should."""
-        rows, cols = 8, 8
-        model = FHPModel(rows, cols, boundary="null")
+        where HexagonalLattice says it should: at ``neighbor`` inside the
+        grid; off the grid, lost (null), wrapped by ``offsets`` modulo the
+        shape (periodic), or back at (r, c) reversed (reflecting)."""
+        model = FHPModel(
+            rows, cols, rest_particles=rest_particles, boundary=boundary
+        )
         hex_ = HexagonalLattice(rows, cols)
+        channels = 7 if rest_particles else 6
         for r in range(rows):
             for c in range(cols):
-                for ch in range(6):
+                for ch in range(channels):
                     state = np.zeros((rows, cols), dtype=np.uint8)
                     state[r, c] = 1 << ch
+                    expected = np.zeros_like(state)
+                    if ch == 6:
+                        expected[r, c] = 1 << 6  # the rest particle stays
+                    elif boundary == "periodic":
+                        dr, dc = hex_.offsets(r)[ch]
+                        expected[(r + dr) % rows, (c + dc) % cols] = 1 << ch
+                    elif (target := hex_.neighbor((r, c), ch)) is not None:
+                        expected[target] = 1 << ch
+                    elif boundary == "reflecting":
+                        expected[r, c] = 1 << ((ch + 3) % 6)
                     out = model.propagate(state)
-                    target = hex_.neighbor((r, c), ch)
-                    if target is None:
-                        assert out.sum() == 0, (r, c, ch)
-                    else:
-                        assert out[target] == 1 << ch, (r, c, ch, target)
+                    assert np.array_equal(out, expected), (r, c, ch)
 
     def test_engine_stencil_matches_geometry(self):
         """The engine's stream stencil inverts the lattice neighbor map:

@@ -88,6 +88,21 @@ class TestFHPModel:
     def test_odd_rows_ok_non_periodic(self):
         FHPModel(5, 8, boundary="null")
 
+    @pytest.mark.parametrize("boundary", ["periodic", "null", "reflecting"])
+    def test_construction_allocates_no_per_site_index_tables(self, boundary):
+        """Propagation shifts slices, so building a model allocates no
+        O(N) side tables; only reflecting walls keep one uint8 bounce-back
+        mask per moving channel (6 bytes per site)."""
+        import tracemalloc
+
+        rows = cols = 1024
+        tracemalloc.start()
+        FHPModel(rows, cols, boundary=boundary)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        per_site = 6 if boundary == "reflecting" else 0
+        assert peak < per_site * rows * cols + (1 << 20), peak
+
     def test_rejects_bad_chirality(self):
         with pytest.raises(ValueError, match="chirality"):
             FHPModel(4, 4, chirality="spin")

@@ -161,6 +161,11 @@ class TestInvalidInput:
             ["simulate", "--steps", "-1"],
             ["run", "--rows", "7"],
             ["run", "--supervised", "--workers", "0"],
+            ["simulate", "--seed", "-1"],
+            ["run", "--seed", "-1"],
+            ["run", "--supervised", "--seed", "-1"],
+            ["faults", "--seed", "-1"],
+            ["viscosity", "--seed", "-1"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -1,6 +1,10 @@
 """Package-level contracts: version, exports, subpackage imports."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +48,27 @@ class TestPackage:
         from repro.cli import build_parser
 
         assert build_parser().prog == "repro"
+
+    def test_runtime_imports_pull_in_numpy_only(self):
+        """The CLI, the machine registry and the automaton import neither
+        scipy nor networkx: the install needs numpy only."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        code = (
+            "import sys, repro.cli, repro.machines, repro.lgca.automaton; "
+            "print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_no_circular_imports(self):
         """core, engines, pebbling import cleanly in any order."""
