@@ -112,6 +112,38 @@ def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _lattice_parent() -> argparse.ArgumentParser:
+    """The lattice flags ``simulate`` and ``run`` share, declared once.
+
+    Each command gets a fresh instance: argparse hands a parent's actions
+    to every child by reference, so with one instance the last child's
+    ``set_defaults`` would overwrite the other's defaults.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--model", choices=("fhp6", "fhp7", "fhp-sat", "hpp"), default="fhp6"
+    )
+    parent.add_argument("--rows", type=int)
+    parent.add_argument("--cols", type=int)
+    parent.add_argument("--density", type=float, default=0.3)
+    parent.add_argument("--seed", type=int, default=0)
+    parent.add_argument(
+        "--boundary",
+        choices=("periodic", "null", "reflecting"),
+        default="periodic",
+        help="boundary condition (--supervised shards periodic and null only)",
+    )
+    parent.add_argument(
+        "--backend",
+        choices=("reference", "bitplane"),
+        default="reference",
+        help="stepping kernels: per-site reference or multi-spin coded "
+        "bit-planes",
+    )
+    _add_telemetry_arg(parent)
+    return parent
+
+
 def _add_technology_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("chip technology (defaults: the paper's 3µ CMOS)")
     group.add_argument("--bits", type=int, default=8, help="D, bits per site")
@@ -191,79 +223,81 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro import machines
-    from repro.lgca.automaton import LatticeGasAutomaton
-    from repro.lgca.fhp import FHPModel
-    from repro.lgca.flows import uniform_random_state
-    from repro.lgca.hpp import HPPModel
-    from repro.util.tables import Table, format_rate
+def _direct_run(
+    args: argparse.Namespace,
+    spec,
+    steps: int,
+    recorder=None,
+    *,
+    title: str | None = None,
+) -> np.ndarray:
+    """Evolve ``spec``'s seeded initial state ``steps`` generations, unsharded.
 
-    rng = np.random.default_rng(args.seed)
-    boundary = "null" if args.engine != "none" else args.boundary
-    if args.model == "hpp":
-        model = HPPModel(args.rows, args.cols, boundary=boundary)
-    else:
-        model = FHPModel(
-            args.rows,
-            args.cols,
-            rest_particles=args.model in ("fhp7", "fhp-sat"),
-            saturated=args.model == "fhp-sat",
-            boundary=boundary,
-        )
-    state = uniform_random_state(
-        args.rows, args.cols, model.num_channels, args.density, rng
-    )
-    recorder = _telemetry_recorder(args)
-    # With an engine selected the automaton is only the bit-exactness
-    # reference, so the recorder attaches to the engine run instead.
+    The one automaton run behind ``simulate --engine none``, a direct
+    ``run``, and the reference of ``simulate --engine`` and ``run
+    --supervised --verify``.  With a ``title`` it prints the conservation
+    table.  Returns the final state.
+    """
+    from repro.lgca.automaton import LatticeGasAutomaton
+    from repro.util.tables import Table
+
     auto = LatticeGasAutomaton(
-        model,
-        state.copy(),
+        spec.build(),
+        spec.initial_state(args.density, args.seed),
         backend=args.backend,
-        recorder=recorder if args.engine == "none" else None,
+        recorder=recorder,
     )
     mass0, p0 = auto.particle_count(), auto.momentum()
-
-    if args.engine == "none":
-        auto.run(args.steps)
-        table = Table("Simulation", ["quantity", "value"])
-        table.add_row("model", args.model)
-        table.add_row("grid", f"{args.rows} x {args.cols} ({args.boundary})")
-        table.add_row("steps", args.steps)
+    auto.run(steps)
+    if title is not None:
+        table = Table(title, ["quantity", "value"])
+        table.add_row("model", spec.kind)
+        table.add_row("grid", f"{spec.rows} x {spec.cols} ({spec.boundary})")
+        table.add_row("steps", steps)
         table.add_row("mass (t=0 -> end)", f"{mass0} -> {auto.particle_count()}")
-        table.add_row(
-            "momentum drift",
-            f"{np.abs(auto.momentum() - p0).max():.2e}",
-        )
+        table.add_row("momentum drift", f"{np.abs(auto.momentum() - p0).max():.2e}")
         table.print()
-        _write_telemetry(
-            args,
-            recorder,
-            model=args.model,
-            rows=args.rows,
-            cols=args.cols,
-            steps=args.steps,
-            backend=args.backend,
-            engine="none",
-        )
+    return auto.state
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro import machines
+    from repro.runtime import ModelSpec
+    from repro.util.tables import Table, format_rate
+
+    recorder = _telemetry_recorder(args)
+    meta = {
+        "model": args.model,
+        "rows": args.rows,
+        "cols": args.cols,
+        "steps": args.steps,
+        "backend": args.backend,
+        "engine": args.engine,
+    }
+    if args.engine == "none":
+        spec = ModelSpec(args.model, args.rows, args.cols, boundary=args.boundary)
+        _direct_run(args, spec, args.steps, recorder, title="Simulation")
+        _write_telemetry(args, recorder, **meta)
         return 0
 
+    # The engines stream a null-bounded lattice; the direct run of the
+    # same lattice is their bit-exactness reference.
+    spec = ModelSpec(args.model, args.rows, args.cols, boundary="null")
     machine_params: dict[str, dict[str, object]] = {
         "wsa": {"lanes": args.lanes},
         "spa": {"slice_width": args.slice_width},
     }
     engine = machines.create(
         args.engine,
-        model,
+        spec.build(),
         pipeline_depth=args.depth,
         backend=args.backend,
         recorder=recorder,
         **machine_params.get(args.engine, {}),
     )
-    auto.run(args.steps)
-    out, stats = engine.run(state, args.steps)
-    match = bool(np.array_equal(out, auto.state))
+    reference = _direct_run(args, spec, args.steps)
+    out, stats = engine.run(spec.initial_state(args.density, args.seed), args.steps)
+    match = bool(np.array_equal(out, reference))
     table = Table(f"Engine simulation: {stats.name}", ["quantity", "value"])
     table.add_row("matches reference", "bit-exact" if match else "MISMATCH")
     table.add_row("site updates", stats.site_updates)
@@ -274,16 +308,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "memory bits/tick", f"{stats.main_bandwidth_bits_per_tick:.1f}"
     )
     table.print()
-    _write_telemetry(
-        args,
-        recorder,
-        model=args.model,
-        rows=args.rows,
-        cols=args.cols,
-        steps=args.steps,
-        backend=args.backend,
-        engine=args.engine,
-    )
+    _write_telemetry(args, recorder, **meta)
     return 0 if match else 1
 
 
@@ -483,16 +508,10 @@ def _cmd_pebble(args: argparse.Namespace) -> int:
 
 def _cmd_viscosity(args: argparse.Namespace) -> int:
     from repro.lgca.diagnostics import measure_shear_viscosity
-    from repro.lgca.fhp import FHPModel
+    from repro.runtime import ModelSpec
     from repro.util.tables import Table
 
-    model = FHPModel(
-        args.size,
-        args.size,
-        rest_particles=args.model in ("fhp7", "fhp-sat"),
-        saturated=args.model == "fhp-sat",
-        chirality="alternate",
-    )
+    model = ModelSpec(args.model, args.size, args.size).build()
     res = measure_shear_viscosity(
         model, args.density, args.amplitude, args.steps, np.random.default_rng(args.seed)
     )
@@ -693,109 +712,101 @@ def _parse_induce(token: str):
         raise ConfigError(f"bad --induce spec {token!r}: {exc}") from exc
 
 
+#: ``run`` flags passed straight to a :class:`SupervisorConfig` keyword,
+#: by argparse dest.
+_SUPERVISOR_KEYWORDS = {
+    "workers": "num_workers",
+    "fallback_backend": "fallback_backend",
+    "checkpoint_dir": "checkpoint_dir",
+    "checkpoint_interval": "checkpoint_interval",
+    "watchdog_timeout": "watchdog_timeout",
+    "max_restarts": "max_total_restarts",
+    "breaker_threshold": "breaker_threshold",
+    "breaker_cooldown": "breaker_cooldown",
+    "deadline": "deadline_seconds",
+    "allow_degraded": "allow_degraded",
+}
+
+#: Every ``run`` flag that only a supervised run reads.  They are absent
+#: from the namespace unless given, so their defaults live in
+#: :class:`SupervisorConfig` alone and a direct run can reject them.
+_SUPERVISION_FLAGS = (
+    *_SUPERVISOR_KEYWORDS,
+    "restart_delay",
+    "max_worker_restarts",
+    "induce",
+    "verify",
+    "format",
+)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
+    from dataclasses import replace
 
-    from repro.lgca.automaton import LatticeGasAutomaton
     from repro.runtime import ModelSpec, SupervisorConfig, supervised_run
-    from repro.util.backoff import BackoffPolicy
+    from repro.runtime.supervisor import _default_backoff
     from repro.util.errors import ConfigError
     from repro.util.tables import Table
 
-    spec = ModelSpec(
-        kind=args.model,
-        rows=args.rows,
-        cols=args.cols,
-        boundary=args.boundary,
-    )
-
+    given = {d: getattr(args, d) for d in _SUPERVISION_FLAGS if hasattr(args, d)}
+    if given and not args.supervised:
+        flags = ", ".join(
+            "--format/--json" if d == "format" else "--" + d.replace("_", "-")
+            for d in given
+        )
+        raise ConfigError(
+            f"supervision-only flags without --supervised: {flags}; "
+            "add --supervised or drop them"
+        )
+    spec = ModelSpec(args.model, args.rows, args.cols, boundary=args.boundary)
     recorder = _telemetry_recorder(args)
-
-    def run_direct(rec=None) -> np.ndarray:
-        auto = LatticeGasAutomaton(
-            spec.build(),
-            spec.initial_state(args.density, args.seed),
-            backend=args.backend,
-            recorder=rec,
-        )
-        auto.run(args.generations)
-        return auto.state.copy()
-
+    meta = {
+        "model": args.model,
+        "rows": args.rows,
+        "cols": args.cols,
+        "generations": args.generations,
+        "backend": args.backend,
+        "supervised": args.supervised,
+    }
     if not args.supervised:
-        if args.workers is not None:
-            raise ConfigError(
-                "--workers is the worker process count of a supervised run; "
-                "add --supervised or drop --workers"
-            )
-        state = run_direct(recorder)
-        table = Table("Direct run", ["quantity", "value"])
-        table.add_row("model", args.model)
-        table.add_row("grid", f"{args.rows} x {args.cols} ({args.boundary})")
-        table.add_row("generations", args.generations)
-        table.add_row("backend", args.backend)
-        table.add_row("final particles", int(np.unpackbits(state).sum()))
-        table.print()
-        _write_telemetry(
-            args,
-            recorder,
-            model=args.model,
-            rows=args.rows,
-            cols=args.cols,
-            generations=args.generations,
-            backend=args.backend,
-            supervised=False,
-        )
+        _direct_run(args, spec, args.generations, recorder, title="Direct run")
+        _write_telemetry(args, recorder, **meta)
         return 0
 
-    num_workers = 2 if args.workers is None else args.workers
+    backoff = _default_backoff()
+    delay = given.get("restart_delay", backoff.base_delay)
     config = SupervisorConfig(
         spec=spec,
         generations=args.generations,
-        num_workers=num_workers,
         backend=args.backend,
-        fallback_backend=args.fallback_backend,
         density=args.density,
         seed=args.seed,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        watchdog_timeout=args.watchdog_timeout,
-        backoff=BackoffPolicy(
-            max_retries=args.max_worker_restarts,
-            base_delay=args.restart_delay,
-            multiplier=2.0,
-            max_delay=max(args.restart_delay, 2.0),
-            jitter=0.1,
+        backoff=replace(
+            backoff,
+            max_retries=given.get("max_worker_restarts", backoff.max_retries),
+            base_delay=delay,
+            max_delay=max(delay, backoff.max_delay),
         ),
-        max_total_restarts=args.max_restarts,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        deadline_seconds=args.deadline,
-        allow_degraded=args.allow_degraded,
-        induced=tuple(_parse_induce(t) for t in (args.induce or [])),
+        induced=tuple(_parse_induce(t) for t in given.get("induce", ())),
+        **{kw: given[d] for d, kw in _SUPERVISOR_KEYWORDS.items() if d in given},
     )
     state, report = supervised_run(config, recorder=recorder)
     exit_code = report.exit_code
     bit_identical: bool | None = None
-    if args.verify and state is not None and report.outcome == "complete":
-        bit_identical = bool(np.array_equal(state, run_direct()))
+    if given.get("verify") and state is not None and report.outcome == "complete":
+        bit_identical = bool(
+            np.array_equal(state, _direct_run(args, spec, args.generations))
+        )
         if not bit_identical:
             exit_code = 1
     # The supervisor hands back a merged multi-process report (worker
     # spools + coordinator, clock-aligned); fall back to the coordinator
     # snapshot if the merge was unavailable.
     _write_telemetry(
-        args,
-        recorder,
-        report=report.telemetry,
-        model=args.model,
-        rows=args.rows,
-        cols=args.cols,
-        generations=args.generations,
-        backend=args.backend,
-        supervised=True,
-        outcome=report.outcome,
+        args, recorder, report=report.telemetry, outcome=report.outcome, **meta
     )
-    if args.format == "json":
+    if given.get("format") == "json":
         payload = report.to_dict()
         payload["bit_identical"] = bit_identical
         payload["exit_code"] = exit_code
@@ -805,8 +816,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     table.add_row("model", args.model)
     table.add_row("grid", f"{args.rows} x {args.cols} ({args.boundary})")
     table.add_row("generations", f"{report.generations_completed}/{report.generations}")
-    table.add_row("workers", num_workers)
-    table.add_row("backend", f"{args.backend} (fallback: {args.fallback_backend})")
+    table.add_row("workers", report.num_workers)
+    table.add_row("backend", f"{args.backend} (fallback: {report.fallback_backend})")
     table.add_row("outcome", report.outcome)
     table.add_row("reason", report.reason)
     table.add_row("restarts", len(report.restarts))
@@ -909,14 +920,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice-size", type=int, default=None)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("simulate", help="run a lattice gas / engine")
-    p.add_argument("--model", choices=("fhp6", "fhp7", "fhp-sat", "hpp"), default="fhp6")
-    p.add_argument("--rows", type=int, default=32)
-    p.add_argument("--cols", type=int, default=32)
+    p = sub.add_parser(
+        "simulate", parents=[_lattice_parent()], help="run a lattice gas / engine"
+    )
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--boundary", choices=("periodic", "null", "reflecting"), default="periodic")
     p.add_argument(
         "--engine",
         choices=("none", "serial", "wsa", "spa", "wsa-e"),
@@ -925,15 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2, help="pipeline depth k")
     p.add_argument("--lanes", type=int, default=4, help="WSA lanes P")
     p.add_argument("--slice-width", type=int, default=8, help="SPA slice width W")
-    p.add_argument(
-        "--backend",
-        choices=("reference", "bitplane"),
-        default="reference",
-        help="stepping kernels: per-site reference or multi-spin coded "
-        "bit-planes",
-    )
-    _add_telemetry_arg(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(rows=32, cols=32, func=_cmd_simulate)
 
     p = sub.add_parser("bounds", help="evaluate the I/O bound")
     p.add_argument("--dimension", type=int, default=2)
@@ -1073,111 +1072,78 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run",
+        parents=[_lattice_parent()],
         help="evolve a lattice gas, optionally under process supervision",
     )
-    p.add_argument("--model", choices=("fhp6", "fhp7", "fhp-sat", "hpp"), default="fhp6")
-    p.add_argument("--rows", type=int, default=64)
-    p.add_argument("--cols", type=int, default=64)
     p.add_argument("--generations", type=int, default=32)
-    p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--boundary",
-        choices=("periodic", "null"),
-        default="periodic",
-        help="boundary condition (supervision shards rows bit-identically "
-        "for these two only)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("reference", "bitplane"),
-        default="reference",
-        help="stepping kernels",
-    )
     p.add_argument(
         "--supervised",
         action="store_true",
         help="shard across worker processes under the supervisor",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker process count of a --supervised run (default 2)",
+    # No defaults here: an absent flag leaves SupervisorConfig's default.
+    g = p.add_argument_group(
+        "supervision (requires --supervised)", argument_default=argparse.SUPPRESS
     )
-    p.add_argument(
+    g.add_argument("--workers", type=int, help="worker process count")
+    g.add_argument(
         "--fallback-backend",
         choices=("reference", "bitplane"),
-        default="reference",
         help="backend the circuit breaker falls back to",
     )
-    p.add_argument("--checkpoint-interval", type=int, default=8)
-    p.add_argument(
+    g.add_argument("--checkpoint-interval", type=int)
+    g.add_argument(
         "--checkpoint-dir",
-        default=None,
-        help="durable checkpoint directory (default: a private temp dir)",
+        help="durable checkpoint directory (unset: a private temp dir)",
     )
-    p.add_argument(
+    g.add_argument(
         "--watchdog-timeout",
         type=float,
-        default=10.0,
         help="seconds of silence before a worker is presumed hung",
     )
-    p.add_argument(
-        "--restart-delay",
-        type=float,
-        default=0.1,
-        help="base restart backoff delay in seconds",
+    g.add_argument(
+        "--restart-delay", type=float, help="base restart backoff delay in seconds"
     )
-    p.add_argument(
+    g.add_argument(
         "--max-worker-restarts",
         type=int,
-        default=3,
         help="restarts per worker between checkpoints before it is dropped",
     )
-    p.add_argument(
-        "--max-restarts",
-        type=int,
-        default=8,
-        help="total restart budget across all workers",
+    g.add_argument(
+        "--max-restarts", type=int, help="total restart budget across all workers"
     )
-    p.add_argument("--breaker-threshold", type=int, default=3)
-    p.add_argument("--breaker-cooldown", type=float, default=30.0)
-    p.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="wall-clock budget in seconds for the whole run",
+    g.add_argument("--breaker-threshold", type=int)
+    g.add_argument("--breaker-cooldown", type=float)
+    g.add_argument(
+        "--deadline", type=float, help="wall-clock budget in seconds for the whole run"
     )
-    p.add_argument(
+    g.add_argument(
         "--allow-degraded",
         action="store_true",
         help="complete (exit 3) with unrecoverable shards frozen at their "
         "last checkpoint instead of failing",
     )
-    p.add_argument(
+    g.add_argument(
         "--induce",
         action="append",
-        default=None,
         metavar="SPEC",
         help="induce a worker fault for testing: KIND:WORKER@GEN"
         "[:backend=B][:lives=N][:seconds=S], KIND in kill|stall|backend-error",
     )
-    p.add_argument(
+    g.add_argument(
         "--verify",
         action="store_true",
         help="also run unsupervised and require bit-identical output",
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument(
+    g.add_argument("--format", choices=("text", "json"))
+    g.add_argument(
         "--json",
         dest="format",
         action="store_const",
         const="json",
         help="shorthand for --format json",
     )
-    _add_telemetry_arg(p)
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(rows=64, cols=64, func=_cmd_run)
 
     p = sub.add_parser("telemetry", help="inspect telemetry reports")
     tsub = p.add_subparsers(dest="telemetry_command", required=True)

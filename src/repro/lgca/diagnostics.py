@@ -26,7 +26,8 @@ import numpy as np
 from repro.lgca.automaton import SiteModel
 from repro.lgca.bits import unpack_channels
 from repro.lgca.flows import _biased_state, _drifted_probs
-from repro.util.validation import check_positive
+from repro.util.errors import ConfigError
+from repro.util.validation import check_positive, check_probability
 
 __all__ = [
     "collision_rate",
@@ -213,6 +214,12 @@ def measure_shear_viscosity(
         few collisions to reach local equilibrium).
     """
     steps = check_positive(steps, "steps", integer=True)
+    if steps <= discard:
+        raise ConfigError(
+            f"steps={steps} must exceed discard={discard}, the transient "
+            "left out of the fit"
+        )
+    check_probability(density, "density")
     rows, cols = model.rows, model.cols
     k = 2.0 * math.pi / rows
     velocities = np.asarray(model.velocities, dtype=np.float64)
@@ -237,7 +244,7 @@ def measure_shear_viscosity(
     ys = ys * sign
     usable = ys > max(1e-9, 0.02 * abs(amplitudes[0]))
     if usable.sum() < 10:
-        raise ValueError(
+        raise ConfigError(
             "shear wave decayed below the noise floor too quickly; "
             "use a larger lattice or fewer steps"
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lgca.bits import popcount, popcount_table, unpack_channels
+from repro.util.errors import ConfigError
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -130,7 +131,7 @@ def fhp_viscosity(density_per_channel: float, *, rest_particles: bool = False) -
     """
     d = float(density_per_channel)
     if not 0.0 < d < 1.0:
-        raise ValueError(f"density_per_channel={d} must lie strictly in (0, 1)")
+        raise ConfigError(f"density_per_channel={d} must lie strictly in (0, 1)")
     if rest_particles:
         return (1.0 / 28.0) / (d * (1.0 - d) ** 3) - 1.0 / 8.0
     return (1.0 / 12.0) / (d * (1.0 - d) ** 3) - 1.0 / 8.0
@@ -144,7 +145,7 @@ def galilean_factor(density_per_channel: float) -> float:
     """
     d = float(density_per_channel)
     if not 0.0 < d < 1.0:
-        raise ValueError(f"density_per_channel={d} must lie strictly in (0, 1)")
+        raise ConfigError(f"density_per_channel={d} must lie strictly in (0, 1)")
     return (3.0 - 6.0 * d) / (3.0 - 3.0 * d)
 
 

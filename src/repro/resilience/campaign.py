@@ -99,6 +99,11 @@ class CampaignConfig:
             raise ConfigError(
                 f"rows={self.rows} must be even (periodic FHP trials)"
             )
+        if self.rows < 6 or self.cols < 5:
+            raise ConfigError(
+                f"rows={self.rows}, cols={self.cols} is too small: fault sites "
+                "are drawn from [2, n-2), so rows must be >= 6 and cols >= 5"
+            )
         if self.generations < 4:
             raise ConfigError(
                 f"generations={self.generations} must be >= 4 so faults can "

@@ -6,6 +6,10 @@ small frozen record that each process turns into a real
 :class:`~repro.lgca.hpp.HPPModel` / :class:`~repro.lgca.fhp.FHPModel`
 locally — at full lattice shape for the golden run, or at a shard's
 local-frame shape for a worker.
+
+It is also the CLI's one lattice description: ``simulate``, ``run`` and
+``viscosity`` build every model through :meth:`ModelSpec.build` and seed
+it with :meth:`ModelSpec.initial_state`.
 """
 
 from __future__ import annotations

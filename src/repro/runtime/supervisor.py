@@ -150,7 +150,9 @@ class SupervisorConfig:
         Complete (exit code 3) with dropped shards frozen at their last
         checkpoint instead of failing the run.
     induced:
-        Test-only process faults (:class:`InducedFault`).
+        Test-only process faults (:class:`InducedFault`); each must name
+        a worker below ``num_workers`` and a generation below
+        ``generations``, or it could never fire.
     start_method:
         Multiprocessing start method; default prefers ``fork``.
     """
@@ -205,6 +207,14 @@ class SupervisorConfig:
                 "chirality policy"
             )
         plan_shards(self.spec.rows, self.num_workers)  # fail fast on geometry
+        for fault in self.induced:
+            if fault.worker >= self.num_workers or fault.generation >= self.generations:
+                raise ConfigError(
+                    f"induced {fault.kind} at worker {fault.worker}, generation "
+                    f"{fault.generation} can never fire in a run of "
+                    f"{self.num_workers} worker(s) and {self.generations} "
+                    "generation(s)"
+                )
 
 
 @dataclass(frozen=True)

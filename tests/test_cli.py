@@ -166,6 +166,30 @@ class TestInvalidInput:
             ["run", "--supervised", "--seed", "-1"],
             ["faults", "--seed", "-1"],
             ["viscosity", "--seed", "-1"],
+            ["viscosity", "--steps", "3"],
+            ["viscosity", "--density", "1.5"],
+            ["faults", "--rows", "4"],
+            ["faults", "--cols", "4"],
+            ["run", "--supervised", "--induce", "kill:9@3"],
+            ["run", "--supervised", "--generations", "4", "--induce", "kill:0@4"],
+            ["run", "--supervised", "--boundary", "reflecting"],
+            # Every supervision-only flag on a direct run.
+            ["run", "--workers", "2"],
+            ["run", "--fallback-backend", "bitplane"],
+            ["run", "--checkpoint-interval", "4"],
+            ["run", "--checkpoint-dir", "ckpt"],
+            ["run", "--watchdog-timeout", "5"],
+            ["run", "--restart-delay", "0.5"],
+            ["run", "--max-worker-restarts", "2"],
+            ["run", "--max-restarts", "4"],
+            ["run", "--breaker-threshold", "2"],
+            ["run", "--breaker-cooldown", "1"],
+            ["run", "--deadline", "60"],
+            ["run", "--allow-degraded"],
+            ["run", "--induce", "kill:0@1"],
+            ["run", "--verify"],
+            ["run", "--format", "text"],
+            ["run", "--json"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -412,7 +436,16 @@ class TestRun:
         assert main(["run", "--rows", "16", "--cols", "16", "--generations", "4"]) == 0
         out = capsys.readouterr().out
         assert "Direct run" in out
-        assert "final particles" in out
+        assert "mass (t=0 -> end)  445 -> 445" in out
+
+    def test_direct_run_takes_reflecting_boundary(self, capsys):
+        args = ["run", "--boundary", "reflecting", "--rows", "8", "--cols", "8"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "8 x 8 (reflecting)" in out
+        mass = next(l for l in out.splitlines() if l.startswith("mass"))
+        start, end = mass.split()[-3::2]
+        assert start == end
 
     def test_supervised_run_with_kill_is_bit_identical(self, capsys):
         import json
