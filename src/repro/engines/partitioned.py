@@ -48,6 +48,7 @@ from repro.engines.pe import PostCollideHook
 from repro.engines.streaming_core import StreamingEngineCore
 from repro.lgca.automaton import SiteModel
 from repro.telemetry import Recorder
+from repro.util.errors import ConfigError
 from repro.util.validation import check_positive
 
 __all__ = ["PartitionedEngine", "SliceExchangeRecord"]
@@ -124,7 +125,7 @@ class PartitionedEngine(StreamingEngineCore):
     ):
         self.slice_width = check_positive(slice_width, "slice_width", integer=True)
         if self.slice_width > model.cols:
-            raise ValueError(
+            raise ConfigError(
                 f"slice_width={slice_width} exceeds lattice width {model.cols}"
             )
         super().__init__(

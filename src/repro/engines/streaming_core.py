@@ -34,11 +34,7 @@ from repro.engines.pe import PostCollideHook, SiteUpdateRule, make_rule
 from repro.engines.shiftreg import ShiftRegister
 from repro.engines.stats import EngineRunStats
 from repro.lgca.automaton import SiteModel
-from repro.lgca.backends import (
-    KernelStepper,
-    get_backend,
-    make_stepper,
-)
+from repro.lgca.backends import KernelStepper, make_stepper, stepper_class
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.hotpath import hot_path
 from repro.util.validation import check_nonnegative, check_positive
@@ -56,13 +52,13 @@ def _make_engine_stepper(
 
     ``None`` means "stream every site through the PE stage" (the
     reference dataflow the engines exist to model).  Any other
-    registered backend evolves frames with its stepper instead — the
+    backend evolves frames with its stepper instead — the
     evolution is identical (the backends are bit-exact by contract and
     by test), only wall-clock speed changes.  Fault-injection hooks
     mutate values *inside* the stream, so they require the reference
     dataflow.
     """
-    get_backend(backend)  # uniform name validation and error message
+    stepper_class(backend)  # uniform name validation and error message
     if backend == "reference":
         return None
     if post_collide is not None:
@@ -422,8 +418,8 @@ class StreamingEngineCore:
                 updates_c.add(span * n)
                 passes_c.add(1)
                 done += span
-        if generations > 0:
-            # Detach from the stepper's (or the stage's) internal buffer.
+        if generations > 0 and self._stepper is None:
+            # Detach from the stage's internal buffer.
             stream = stream.copy()
         stats = EngineRunStats(
             name=self.name,

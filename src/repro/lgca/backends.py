@@ -1,4 +1,4 @@
-"""Kernel backend registry: uniform selection of LGCA stepping engines.
+"""Kernel backends: steppers that hold the lattice they advance.
 
 Two backends ship with the repo:
 
@@ -13,23 +13,21 @@ Two backends ship with the repo:
     compiled from the same verified tables.  Bit-identical to the
     reference (enforced by the property tests) and much faster.
 
-Multi-core runs go through process shards (:mod:`repro.runtime`), each
-of which steps its slab with one of these backends.
-
-Both are exposed through the same :class:`KernelStepper` interface —
-stateless functional kernels over site-state fields — so
-:class:`repro.lgca.automaton.LatticeGasAutomaton`, the engine simulators
-in :mod:`repro.engines`, and the CLI select a backend by name without
-knowing its storage format.  Steppers preallocate their double buffers
-at construction, so steady-state stepping performs no array allocation;
-the arrays they return are views of internal buffers, invalidated by the
-next call — callers that retain states must copy.
+Every caller — :class:`repro.lgca.automaton.LatticeGasAutomaton`, the
+engine simulators in :mod:`repro.engines`, the process shards in
+:mod:`repro.runtime` and the CLI — drives a :class:`KernelStepper`
+through one contract: :meth:`~KernelStepper.write` site rows in,
+:meth:`~KernelStepper.advance` in place, :meth:`~KernelStepper.read`
+rows out.  The stepper keeps its lattice in its own storage format
+between calls (the bitplane stepper keeps it packed), so a shard
+converts only the rows it exchanges.  ``read`` returns a fresh array,
+and ``advance`` allocates nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from abc import ABC, abstractmethod
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,39 +38,96 @@ from repro.util.errors import ConfigError
 from repro.util.hotpath import hot_path
 
 __all__ = [
+    "BACKENDS",
+    "DEFAULT_BACKEND",
     "KernelStepper",
-    "Backend",
     "ReferenceStepper",
     "BitplaneStepper",
-    "register_backend",
-    "get_backend",
-    "available_backends",
     "make_stepper",
-    "DEFAULT_BACKEND",
+    "stepper_class",
 ]
 
 #: The backend used when none is requested.
 DEFAULT_BACKEND = "reference"
 
+#: Row selector for the whole lattice.
+_ALL_ROWS = slice(None)
 
-@runtime_checkable
-class KernelStepper(Protocol):
-    """A stateless stepping kernel over site-state fields.
 
-    Implementations hold preallocated working storage but no gas state:
-    ``step``/``run`` are pure functions of their arguments (plus the RNG
-    stream).  Returned arrays may alias internal buffers and are only
-    valid until the next call.
+class KernelStepper(ABC):
+    """A stepping kernel that holds the lattice it advances.
+
+    Subclasses supply their storage conversion (:meth:`_write`,
+    :meth:`read`) and one generation (:meth:`_tick`); the generation
+    loop and its telemetry live here.  ``recorder`` (optional) receives
+    per-generation kernel timings on the ``kernel.<name>.tick_seconds``
+    timer and a ``kernel.<name>.generations`` count; handles and the
+    clock are pre-bound so :meth:`advance` stays allocation-free, and
+    the default :data:`~repro.telemetry.NULL_RECORDER` makes recording
+    a no-op.
     """
 
-    def step(
+    #: Backend name: the key in :data:`BACKENDS` and the telemetry prefix.
+    name: ClassVar[str]
+
+    def __init__(self, model: object, recorder: Recorder | None = None):
+        self.model = model
+        rec = recorder if recorder is not None else NULL_RECORDER
+        self._clk = rec.clock
+        self._tick_timer = rec.timer(f"kernel.{self.name}.tick_seconds")
+        self._generations = rec.counter(f"kernel.{self.name}.generations")
+
+    def write(self, rows: slice, values: np.ndarray) -> None:
+        """Store uint8 site ``values`` into the lattice rows ``rows``.
+
+        A whole-lattice write (``rows=slice(None)``) is validated by the
+        model's ``check_state``; a row block must have its rows' shape
+        and fit the model's channels.
+        """
+        model = self.model
+        if rows == _ALL_ROWS:
+            values = model.check_state(values)  # type: ignore[attr-defined]
+        else:
+            values = np.asarray(values)
+            nrows: int = model.rows  # type: ignore[attr-defined]
+            shape = (len(range(*rows.indices(nrows))), model.cols)  # type: ignore[attr-defined]
+            channels: int = model.num_channels  # type: ignore[attr-defined]
+            if values.shape != shape or values.max(initial=0) >= 1 << channels:
+                raise ValueError(
+                    f"rows {rows.start}:{rows.stop} take a {shape} block of "
+                    f"{channels}-bit sites, not shape {values.shape} with "
+                    f"max {values.max(initial=0)}"
+                )
+            values = values.astype(np.uint8, copy=False)
+        self._write(rows, values)
+
+    @abstractmethod
+    def _write(self, rows: slice, values: np.ndarray) -> None:
+        """Store pre-validated uint8 ``values`` into ``rows``."""
+
+    @abstractmethod
+    def read(self, rows: slice = _ALL_ROWS) -> np.ndarray:
+        """The sites of ``rows`` as a fresh uint8 array."""
+
+    @abstractmethod
+    def _tick(self, t: int, rng: np.random.Generator | None) -> None:
+        """Advance the held lattice one generation (collide at ``t``, propagate)."""
+
+    @hot_path
+    def advance(
         self,
-        state: np.ndarray,
-        t: int = 0,
+        generations: int,
+        t0: int = 0,
         rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Advance ``state`` one generation (collide at time ``t``, propagate)."""
-        ...
+    ) -> None:
+        """Step the held lattice ``generations`` generations from time ``t0``."""
+        clk = self._clk
+        tick_timer = self._tick_timer
+        for i in range(generations):
+            t_start = clk()
+            self._tick(t0 + i, rng)
+            tick_timer.record(clk() - t_start)
+        self._generations.add(generations)
 
     def run(
         self,
@@ -81,44 +136,23 @@ class KernelStepper(Protocol):
         t0: int = 0,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Advance ``state`` by ``generations`` steps starting at time ``t0``."""
-        ...
+        """``state`` advanced ``generations`` steps from ``t0``, as a fresh array."""
+        self.write(_ALL_ROWS, state)
+        self.advance(generations, t0, rng)
+        return self.read()
 
 
-@dataclass(frozen=True)
-class Backend:
-    """A named stepper factory in the registry.
-
-    Attributes
-    ----------
-    name:
-        Registry key, e.g. ``"bitplane"``.
-    description:
-        One line for ``--help`` output and docs.
-    factory:
-        ``factory(model, obstacles)`` returning a :class:`KernelStepper`.
-    """
-
-    name: str
-    description: str
-    factory: Callable[..., KernelStepper]
-
-
-class ReferenceStepper:
-    """The verified per-site kernels behind the :class:`KernelStepper` interface.
+class ReferenceStepper(KernelStepper):
+    """The verified per-site kernels behind the :class:`KernelStepper` contract.
 
     Semantically identical to the historical ``LatticeGasAutomaton.step``
     loop (collide via table lookup, solid sites bounce back the
-    *pre-collision* state, then propagate), restructured around two
-    preallocated state buffers so steady-state stepping does not
-    allocate.
-
-    ``recorder`` (optional) receives per-generation kernel timings on
-    the ``kernel.reference.tick_seconds`` timer and a generation count;
-    handles and the clock are pre-bound here so the hot loop stays
-    allocation-free, and the default :data:`~repro.telemetry.NULL_RECORDER`
-    makes recording a no-op.
+    *pre-collision* state, then propagate).  The lattice lives in one
+    ``uint8`` field; each generation collides it into a preallocated
+    buffer and propagates back, so stepping does not allocate.
     """
+
+    name = "reference"
 
     def __init__(
         self,
@@ -126,12 +160,9 @@ class ReferenceStepper:
         obstacles: object = None,
         recorder: Recorder | None = None,
     ):
-        self.model = model
+        super().__init__(model, recorder)
         rows, cols = model.rows, model.cols  # type: ignore[attr-defined]
-        self._buffers = (
-            np.empty((rows, cols), dtype=np.uint8),
-            np.empty((rows, cols), dtype=np.uint8),
-        )
+        self._state = np.zeros((rows, cols), dtype=np.uint8)
         self._collided = np.empty((rows, cols), dtype=np.uint8)
         mask = getattr(obstacles, "mask", obstacles)
         if mask is not None and np.any(mask):
@@ -141,86 +172,32 @@ class ReferenceStepper:
             self._bounced = np.empty((rows, cols), dtype=np.uint8)
         else:
             self._solid = None
-        self._out_sel = 0
-        rec = recorder if recorder is not None else NULL_RECORDER
-        self._clk = rec.clock
-        self._tick_timer = rec.timer("kernel.reference.tick_seconds")
-        self._generations = rec.counter("kernel.reference.generations")
 
-    def _next_buffer(self, state: np.ndarray) -> np.ndarray:
-        """The write target for the next generation, never ``state`` itself.
+    def _write(self, rows: slice, values: np.ndarray) -> None:
+        self._state[rows] = values
 
-        The same ping-pong idiom as ``PipelineStage.process``: the two
-        preallocated buffers alternate between calls, so chained steps
-        (``s = stepper.step(stepper.step(s))`` or ``step`` then ``run``)
-        never collide into the array they are reading.  Returned states
-        are views of this pair, valid until the next-but-one call —
-        callers that retain them must copy.
-        """
-        sel = self._out_sel
-        if self._buffers[sel] is state:
-            sel = 1 - sel
-        self._out_sel = 1 - sel
-        return self._buffers[sel]
+    def read(self, rows: slice = _ALL_ROWS) -> np.ndarray:
+        return self._state[rows].copy()
 
     @hot_path
-    def _advance(
-        self,
-        state: np.ndarray,
-        out: np.ndarray,
-        t: int,
-        rng: np.random.Generator | None,
-    ) -> np.ndarray:
-        """One pre-validated generation from ``state`` into ``out``."""
-        clk = self._clk
-        t_start = clk()
-        collided = self._collided
+    def _tick(self, t: int, rng: np.random.Generator | None) -> None:
+        state, collided = self._state, self._collided
         self.model.collide(state, t, rng, out=collided, check=False)  # type: ignore[attr-defined]
         if self._solid is not None:
             np.take(self._bounce, state, out=self._bounced)
             np.copyto(collided, self._bounced, where=self._solid)
-        result = self.model.propagate(collided, out=out, check=False)  # type: ignore[attr-defined]
-        self._tick_timer.record(clk() - t_start)
-        self._generations.add(1)
-        return result
-
-    @hot_path
-    def step(
-        self,
-        state: np.ndarray,
-        t: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        state = self.model.check_state(state)  # type: ignore[attr-defined]
-        return self._advance(state, self._next_buffer(state), t, rng)
-
-    @hot_path
-    def run(
-        self,
-        state: np.ndarray,
-        generations: int,
-        t0: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        state = self.model.check_state(state)  # type: ignore[attr-defined]
-        cur: np.ndarray = state
-        for i in range(generations):
-            cur = self._advance(cur, self._next_buffer(cur), t0 + i, rng)
-        return cur
+        self.model.propagate(collided, out=state, check=False)  # type: ignore[attr-defined]
 
 
-class BitplaneStepper:
-    """Multi-spin coded stepping behind the :class:`KernelStepper` interface.
+class BitplaneStepper(KernelStepper):
+    """Multi-spin coded stepping behind the :class:`KernelStepper` contract.
 
-    ``step`` pays a pack/unpack conversion per call; ``run`` packs once,
-    advances all generations as word-level plane operations on two
-    preallocated plane buffers, and unpacks once — that is the fast path
-    the benchmarks measure.
-
-    ``recorder`` (optional) receives per-generation kernel timings on
-    the ``kernel.bitplane.tick_seconds`` timer through pre-bound
-    handles; the default null recorder makes recording a no-op.
+    The lattice stays packed in one ``(C, rows, W)`` plane buffer: a
+    write packs only the rows it is given, a read unpacks only the rows
+    asked for, and each generation is word-level plane algebra in place.
     """
+
+    name = "bitplane"
 
     def __init__(
         self,
@@ -228,83 +205,35 @@ class BitplaneStepper:
         obstacles: object = None,
         recorder: Recorder | None = None,
     ):
-        self.model = model
+        super().__init__(model, recorder)
         self.kernel = BitplaneKernel(model, obstacles)  # type: ignore[arg-type]
-        self._planes = (self.kernel.alloc_planes(), self.kernel.alloc_planes())
-        self._field = np.empty((model.rows, model.cols), dtype=np.uint8)  # type: ignore[attr-defined]
-        rec = recorder if recorder is not None else NULL_RECORDER
-        self._clk = rec.clock
-        self._tick_timer = rec.timer("kernel.bitplane.tick_seconds")
-        self._generations = rec.counter("kernel.bitplane.generations")
+        self._planes = self.kernel.alloc_planes()
+
+    def _write(self, rows: slice, values: np.ndarray) -> None:
+        self._planes[:, rows] = self.kernel.pack(values)
+
+    def read(self, rows: slice = _ALL_ROWS) -> np.ndarray:
+        return self.kernel.unpack(self._planes[:, rows])
 
     @hot_path
-    def step(
-        self,
-        state: np.ndarray,
-        t: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        return self.run(state, 1, t, rng)
-
-    @hot_path
-    def run(
-        self,
-        state: np.ndarray,
-        generations: int,
-        t0: int = 0,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        state = self.model.check_state(state)  # type: ignore[attr-defined]
-        if generations == 0:
-            return state
-        clk = self._clk
-        tick_timer = self._tick_timer
-        src, dst = self._planes
-        src[...] = self.kernel.pack(state)
-        for i in range(generations):
-            t_start = clk()
-            self.kernel.step_into(src, dst, t0 + i, rng)
-            tick_timer.record(clk() - t_start)
-            src, dst = dst, src
-        self._generations.add(generations)
-        return self.kernel.unpack(src, out=self._field)
+    def _tick(self, t: int, rng: np.random.Generator | None) -> None:
+        self.kernel.step_into(self._planes, self._planes, t, rng)
 
 
-_REGISTRY: dict[str, Backend] = {}
+#: Every backend, by name.
+BACKENDS: dict[str, type[KernelStepper]] = {
+    cls.name: cls for cls in (BitplaneStepper, ReferenceStepper)
+}
 
 
-def register_backend(backend: Backend) -> Backend:
-    """Add a backend to the registry (name must be unused); returns it.
-
-    Raises
-    ------
-    ConfigError
-        When the name is already registered — silently replacing a
-        backend would let a stale import swap the semantics everything
-        else was validated against.
-    """
-    if backend.name in _REGISTRY:
+def stepper_class(backend: str) -> type[KernelStepper]:
+    """The stepper class named ``backend``; unknown names raise ConfigError."""
+    cls = BACKENDS.get(backend)
+    if cls is None:
         raise ConfigError(
-            f"backend {backend.name!r} is already registered; "
-            f"registered backends: {', '.join(sorted(_REGISTRY))}"
+            f"unknown backend {backend!r}; available: {', '.join(sorted(BACKENDS))}"
         )
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def get_backend(name: str) -> Backend:
-    """Look up a backend by name, with a helpful error listing the choices."""
-    backend = _REGISTRY.get(name)
-    if backend is None:
-        raise ConfigError(
-            f"unknown backend {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        )
-    return backend
-
-
-def available_backends() -> tuple[Backend, ...]:
-    """All registered backends, sorted by name."""
-    return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
+    return cls
 
 
 def make_stepper(
@@ -313,31 +242,5 @@ def make_stepper(
     backend: str = DEFAULT_BACKEND,
     recorder: Recorder | None = None,
 ) -> KernelStepper:
-    """Build a stepper for ``model`` (and optional obstacles) by backend name.
-
-    Unknown names raise :class:`~repro.util.errors.ConfigError`.
-    Every shipped stepper accepts ``recorder`` and reports its kernel
-    timings through it; it is only forwarded when set, so third-party
-    factories without the parameter keep working under the default
-    null recorder.
-    """
-    chosen = get_backend(backend)
-    if recorder is None:
-        return chosen.factory(model, obstacles)
-    return chosen.factory(model, obstacles, recorder=recorder)
-
-
-register_backend(
-    Backend(
-        name="reference",
-        description="verified per-site table-lookup kernels (golden semantics)",
-        factory=ReferenceStepper,
-    )
-)
-register_backend(
-    Backend(
-        name="bitplane",
-        description="multi-spin coded kernels: 64 sites per word, boolean-algebra collision",
-        factory=BitplaneStepper,
-    )
-)
+    """Build the ``backend`` stepper for ``model`` (and optional obstacles)."""
+    return stepper_class(backend)(model, obstacles, recorder=recorder)

@@ -686,8 +686,8 @@ class BitplaneKernel:
     ) -> None:
         """One generation (collide then propagate), allocation-free.
 
-        ``planes_out`` must not alias ``planes_in``; the collided
-        intermediate lives in a preallocated internal buffer.
+        ``planes_out`` may be ``planes_in`` (stepping in place): the
+        collided intermediate lives in a preallocated internal buffer.
         """
         self.collide_into(planes_in, self._mid, t, rng)
         self.propagate_into(self._mid, planes_out)

@@ -8,11 +8,22 @@ lattice row-major, which makes slab views and halo rows contiguous.
 
 The slab geometry itself — :class:`~repro.lattice.slabs.Shard` and
 :func:`~repro.lattice.slabs.plan_shards` — lives in
-:mod:`repro.lattice.slabs`; this module re-exports it and adds the process-level :class:`ShardRunner` on top.  See the slab
-planner's docstring for the halo-size invariants (even local start row,
-even local frame) and why refreshing two boundary rows per side per
+:mod:`repro.lattice.slabs`; this module re-exports it and adds the
+process-level :class:`ShardRunner` on top.  See the slab planner's
+docstring for the halo-size invariants (even local start row, even
+local frame) and why refreshing two boundary rows per side per
 generation makes the slab interiors evolve bit-identically to the
 whole-lattice run.
+
+A runner's kernel stepper holds its local frame for the whole run (the
+bitplane stepper keeps it packed), as the paper's pipelines keep the
+lattice on chip and CAM-8's modules exchange only boundary sites.  Per
+generation a shard converts only its halo and boundary rows; the whole
+slab is converted only when it is written at construction and read for
+a checkpoint or the final collect.  Halos cross between processes as
+``uint8`` site rows, not packed words, so neighbouring shards may run
+different backends (the circuit breaker respawns a failing worker on
+its fallback backend next to unchanged neighbours).
 
 Bit-identity at *this* layer holds for deterministic chirality policies
 only (``alternate``/``left``/``right``); per-site ``random`` chirality
@@ -26,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lattice.slabs import BOUNDARY_ROWS, Shard, plan_shards
+from repro.lgca.automaton import ObstacleMap
 from repro.lgca.backends import make_stepper
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
@@ -38,6 +50,9 @@ class ShardRunner:
 
     Pure in-process logic (no pipes, no processes) so the sharded
     evolution is testable — and benchmarkable — without a supervisor.
+    The kernel stepper holds the local frame for the whole run: the
+    slab is written into it once, at construction, and each generation
+    writes only the halo rows and reads only the boundary rows.
 
     Parameters
     ----------
@@ -88,15 +103,13 @@ class ShardRunner:
         self.shard = shard
         self.backend = backend
         self.time = time
-        from repro.lgca.automaton import ObstacleMap
-
         obstacles = None if obstacles_mask is None else ObstacleMap(obstacles_mask)
         rec = recorder if recorder is not None else NULL_RECORDER
         self._stepper = make_stepper(
             model, obstacles=obstacles, backend=backend, recorder=recorder
         )
-        self._local = np.zeros((shard.local_rows, cols), dtype=np.uint8)
-        self._local[shard.interior] = initial_slab
+        self._stepper.write(shard.interior, initial_slab)
+        self._zeros = np.zeros((BOUNDARY_ROWS, cols), dtype=np.uint8)
         # Pre-bound handles (see OBSERVABILITY.md): free under the null
         # recorder, allocation-free per generation under a real one.
         self._clock = rec.clock
@@ -106,19 +119,19 @@ class ShardRunner:
 
     @property
     def interior(self) -> np.ndarray:
-        """The owned slab's current state (a view; copy to retain)."""
-        return self._local[self.shard.interior]
+        """The owned slab's current state (a fresh array)."""
+        return self._stepper.read(self.shard.interior)
 
     def boundary_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(top, bottom)`` — the slab's outermost rows for neighbours.
 
-        Always :data:`BOUNDARY_ROWS` rows each; receivers slice off the
-        halo depth they need.
+        Always :data:`BOUNDARY_ROWS` rows each (fresh arrays); receivers
+        slice off the halo depth they need.
         """
-        interior = self.interior
+        interior = self.shard.interior
         return (
-            interior[:BOUNDARY_ROWS].copy(),
-            interior[-BOUNDARY_ROWS:].copy(),
+            self._stepper.read(slice(interior.start, interior.start + BOUNDARY_ROWS)),
+            self._stepper.read(slice(interior.stop - BOUNDARY_ROWS, interior.stop)),
         )
 
     def set_halos(
@@ -135,23 +148,20 @@ class ShardRunner:
         """
         start = self._clock()
         shard = self.shard
-        if above_bottom is None:
-            self._local[: shard.halo_top] = 0
-        else:
-            self._local[: shard.halo_top] = above_bottom[
-                BOUNDARY_ROWS - shard.halo_top :
-            ]
-        bottom = slice(shard.halo_top + shard.slab_rows, None)
-        if below_top is None:
-            self._local[bottom] = 0
-        else:
-            self._local[bottom] = below_top[: shard.halo_bottom]
+        above = self._zeros if above_bottom is None else above_bottom
+        below = self._zeros if below_top is None else below_top
+        self._stepper.write(
+            slice(0, shard.halo_top), above[BOUNDARY_ROWS - shard.halo_top :]
+        )
+        self._stepper.write(
+            slice(shard.interior.stop, None), below[: shard.halo_bottom]
+        )
         self._halo_timer.record(self._clock() - start)
 
     def step(self) -> None:
         """Advance the local frame one generation (halos must be fresh)."""
         start = self._clock()
-        self._local = self._stepper.step(self._local, self.time).copy()
+        self._stepper.advance(1, self.time)
         self.time += 1
         self._step_timer.record(self._clock() - start)
         self._generations.add(1)

@@ -48,13 +48,13 @@ import multiprocessing
 import shutil
 import tempfile
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 
 import numpy as np
 
-from repro.lgca.backends import get_backend
+from repro.lgca.backends import stepper_class
 from repro.resilience.checkpoint import CheckpointStore
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.modelspec import ModelSpec
@@ -193,7 +193,7 @@ class SupervisorConfig:
         if self.deadline_seconds is not None:
             check_positive(self.deadline_seconds, "deadline_seconds")
         for name in (self.backend, self.fallback_backend):
-            get_backend(name)
+            stepper_class(name)
         if self.spec.boundary not in _SHARDABLE_BOUNDARIES:
             raise ConfigError(
                 f"boundary={self.spec.boundary!r} cannot be sharded "
@@ -311,6 +311,7 @@ class _Handle:
         self.okay_since = 0.0  # monotonic time of last interaction
         self.restart_at = 0.0
         self.error: str | None = None
+        self.pending_restart: int | None = None  # index into restarts
         self.final_state: np.ndarray | None = None
 
     @property
@@ -418,6 +419,9 @@ class _Supervision:
     def _spawn(self, h: _Handle, first: bool) -> None:
         h.incarnation += 1
         h.backend = self.breaker.select_backend(self.barrier)
+        if h.pending_restart is not None:
+            i, h.pending_restart = h.pending_restart, None
+            self.restarts[i] = replace(self.restarts[i], backend=h.backend)
         shard = h.shard
         wc = WorkerConfig(
             worker=h.index,
@@ -499,6 +503,7 @@ class _Supervision:
         delay = policy.delay(h.failures - 1, self.rng)
         h.status = "restart-pending"
         h.restart_at = self.clock() + delay
+        h.pending_restart = len(self.restarts)
         self.restarts.append(
             RestartEvent(
                 worker=h.index,
@@ -506,7 +511,7 @@ class _Supervision:
                 generation=self.barrier,
                 reason=reason,
                 delay=delay,
-                backend=h.backend,  # refreshed by the breaker at respawn
+                backend=h.backend,  # replaced by the breaker's pick at respawn
             )
         )
         self.total_restarts += 1

@@ -35,11 +35,9 @@ HOT_PATH_REGISTRY: frozenset[str] = frozenset(
         "BitplaneKernel.step_into",
         "BitplaneKernel.collide_into",
         "BitplaneKernel.propagate_into",
-        "BitplaneStepper.step",
-        "BitplaneStepper.run",
-        "ReferenceStepper._advance",
-        "ReferenceStepper.step",
-        "ReferenceStepper.run",
+        "KernelStepper.advance",
+        "BitplaneStepper._tick",
+        "ReferenceStepper._tick",
         "PipelineStage.process",
         "StreamingEngineCore._advance_stream",
     }

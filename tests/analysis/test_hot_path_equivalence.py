@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.engines.pe import make_rule
 from repro.engines.pipeline import PipelineStage, SerialPipelineEngine
 from repro.lgca.automaton import LatticeGasAutomaton
-from repro.lgca.backends import BitplaneStepper, ReferenceStepper
+from repro.lgca.backends import BitplaneStepper, KernelStepper, ReferenceStepper
 from repro.lgca.bitplane import BitplaneKernel
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
@@ -56,6 +56,7 @@ class TestRegistryIntegrity:
     CLASSES = {
         "BitplaneKernel": BitplaneKernel,
         "BitplaneStepper": BitplaneStepper,
+        "KernelStepper": KernelStepper,
         "ReferenceStepper": ReferenceStepper,
         "PipelineStage": PipelineStage,
     }

@@ -1,4 +1,4 @@
-"""Backend registry tests and the bitplane/reference equivalence properties.
+"""Stepper contract tests and the bitplane/reference equivalence properties.
 
 The load-bearing guarantee of the backend system is that every backend
 computes the *same evolution* — the hypothesis properties here drive
@@ -13,16 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
-from repro.lgca.backends import (
-    Backend,
-    BitplaneStepper,
-    KernelStepper,
-    ReferenceStepper,
-    available_backends,
-    get_backend,
-    make_stepper,
-    register_backend,
-)
+from repro.lgca.backends import BACKENDS, KernelStepper, make_stepper
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
 from repro.lgca.hpp import HPPModel
@@ -32,30 +23,16 @@ GENERATIONS = 8  # enough for propagation to wrap small lattices
 
 
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = [b.name for b in available_backends()]
-        assert names == ["bitplane", "reference"]
-
-    def test_get_backend(self):
-        assert get_backend("reference").factory is ReferenceStepper
-        assert get_backend("bitplane").factory is BitplaneStepper
-
     def test_unknown_backend_lists_choices_sorted(self):
-        with pytest.raises(ConfigError, match="bitplane, reference"):
-            get_backend("vectorized")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError, match="already registered") as exc:
-            register_backend(
-                Backend(name="reference", description="dup", factory=ReferenceStepper)
-            )
-        # the error names the existing choices, sorted
-        assert "bitplane, reference" in str(exc.value)
+        match = "unknown backend 'vectorized'; available: bitplane, reference"
+        with pytest.raises(ConfigError, match=match):
+            make_stepper(HPPModel(4, 4), backend="vectorized")
 
     def test_make_stepper_satisfies_protocol(self):
         model = HPPModel(4, 4)
-        for name in ("reference", "bitplane"):
-            assert isinstance(make_stepper(model, backend=name), KernelStepper)
+        for name, cls in BACKENDS.items():
+            stepper = make_stepper(model, backend=name)
+            assert isinstance(stepper, KernelStepper) and type(stepper) is cls
 
     def test_automaton_rejects_unknown_backend(self):
         model = HPPModel(4, 4)
@@ -171,58 +148,91 @@ class TestBitplaneEquivalence:
                             obstacles=ObstacleMap(mask))
 
 
+#: Column counts straddling the 64-column word boundary.
+CONTRACT_COLS = (3, 63, 64, 65, 130)
+
+
+def _fhp7(cols):
+    return FHPModel(6, cols, rest_particles=True), _state(cols, 6, cols, 7)
+
+
+def _arrays(obj):
+    """Every array an object holds as an attribute."""
+    return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+
+
 class TestStepperContracts:
+    """write / advance / read, the one contract of every backend."""
+
     def test_reference_run_does_not_mutate_input(self):
-        model = HPPModel(6, 6)
-        state = _state(0, 6, 6, 4)
-        before = state.copy()
-        make_stepper(model).run(state, 5)
-        np.testing.assert_array_equal(state, before)
+        for cols in CONTRACT_COLS:
+            model, state = _fhp7(cols)
+            before = state.copy()
+            make_stepper(model).run(state, 5)
+            np.testing.assert_array_equal(state, before, err_msg=f"cols={cols}")
 
     def test_bitplane_run_does_not_mutate_input(self):
-        model = HPPModel(6, 6)
-        state = _state(0, 6, 6, 4)
-        before = state.copy()
-        make_stepper(model, backend="bitplane").run(state, 5)
-        np.testing.assert_array_equal(state, before)
+        for cols in CONTRACT_COLS:
+            model, state = _fhp7(cols)
+            before = state.copy()
+            make_stepper(model, backend="bitplane").run(state, 5)
+            np.testing.assert_array_equal(state, before, err_msg=f"cols={cols}")
+
+    def test_read_never_shares_memory(self):
+        for backend in BACKENDS:
+            for cols in CONTRACT_COLS:
+                model, state = _fhp7(cols)
+                stepper = make_stepper(model, backend=backend)
+                ran = stepper.run(state, 2)
+                reads = [ran, stepper.read(), stepper.read(slice(1, 3))]
+                held = _arrays(stepper)
+                if backend == "bitplane":
+                    held += _arrays(stepper.kernel)
+                for i, out in enumerate(reads):
+                    others = [state, *held, *reads[i + 1 :]]
+                    assert not any(np.shares_memory(out, a) for a in others), (backend, cols)
+                reads[1][...] = 0  # mutating a read leaves the held lattice alone
+                np.testing.assert_array_equal(stepper.read(), ran)
+
+    def test_write_read_round_trips(self):
+        for backend in BACKENDS:
+            for cols in CONTRACT_COLS:
+                model, state = _fhp7(cols)
+                stepper = make_stepper(model, backend=backend)
+                stepper.write(slice(None), state)
+                np.testing.assert_array_equal(stepper.read(), state)
+                block = _state(cols + 1, 2, cols, 7)
+                stepper.write(slice(2, 4), block)
+                np.testing.assert_array_equal(stepper.read(slice(2, 4)), block)
+                expected = state.copy()
+                expected[2:4] = block
+                np.testing.assert_array_equal(
+                    stepper.read(), expected, err_msg=f"{backend} cols={cols}"
+                )
+
+    def test_write_rejects_bad_rows(self):
+        for backend in BACKENDS:
+            model, _ = _fhp7(65)
+            stepper = make_stepper(model, backend=backend)
+            with pytest.raises(ValueError, match="block"):
+                stepper.write(slice(0, 2), np.zeros((3, 65), dtype=np.uint8))
+            with pytest.raises(ValueError, match="block"):
+                stepper.write(slice(0, 2), np.full((2, 65), 128, dtype=np.uint8))
+            with pytest.raises(ValueError, match="shape"):
+                stepper.write(slice(None), np.zeros((5, 65), dtype=np.uint8))
 
     def test_run_equals_repeated_step(self):
-        for backend in ("reference", "bitplane"):
-            model = FHPModel(6, 20)
-            state = _state(3, 6, 20, 6)
-            stepper = make_stepper(model, backend=backend)
-            stepped = state
-            for t in range(5):
-                stepped = stepper.step(stepped, t).copy()
-            ran = make_stepper(model, backend=backend).run(state, 5)
-            np.testing.assert_array_equal(ran, stepped, err_msg=backend)
-
-    def test_reference_step_never_returns_its_input_buffer(self):
-        """The ping-pong pair must never collide output into the input.
-
-        Chained calls feed the previous return (a view of one internal
-        buffer) straight back in; ``_next_buffer`` must then select the
-        *other* buffer, or the stage would read rows it already
-        overwrote.
-        """
-        model = HPPModel(6, 6)
-        stepper = make_stepper(model)
-        out = stepper.step(_state(0, 6, 6, 4), 0)
-        for t in range(1, 6):
-            nxt = stepper.step(out, t)
-            assert nxt is not out
-            assert not np.shares_memory(nxt, out)
-            out = nxt
-
-    def test_reference_chained_steps_match_fresh_stepper(self):
-        model = FHPModel(6, 20)
-        state = _state(7, 6, 20, 6)
-        chained = make_stepper(model)
-        cur = state
-        for t in range(6):
-            cur = chained.step(cur, t)  # no defensive copies
-        expected = make_stepper(model).run(state, 6)
-        np.testing.assert_array_equal(cur, expected)
+        for backend in BACKENDS:
+            for cols in CONTRACT_COLS:
+                model, state = _fhp7(cols)
+                stepper = make_stepper(model, backend=backend)
+                stepper.write(slice(None), state)
+                for t in range(5):
+                    stepper.advance(1, t)
+                ran = make_stepper(model, backend=backend).run(state, 5)
+                np.testing.assert_array_equal(
+                    stepper.read(), ran, err_msg=f"{backend} cols={cols}"
+                )
 
     def test_automaton_time_advances_once_per_run(self):
         model = HPPModel(6, 6)

@@ -54,7 +54,12 @@ class TestPlanShards:
 
 
 def _evolve_sharded(spec, init, generations, workers, backend, obstacles=None):
-    """In-process sharded evolution via ShardRunner + manual halo routing."""
+    """In-process sharded evolution via ShardRunner + manual halo routing.
+
+    ``backend="mixed"`` alternates ``reference`` and ``bitplane`` across
+    shards, as a circuit-breaker respawn can: halos cross between
+    backends as uint8 rows, so the mix must stay bit-identical.
+    """
     shards = plan_shards(spec.rows, workers)
     runners = []
     for shard in shards:
@@ -68,7 +73,11 @@ def _evolve_sharded(spec, init, generations, workers, backend, obstacles=None):
                 spec.build(rows=shard.local_rows),
                 shard,
                 init[shard.row_start : shard.row_stop].copy(),
-                backend=backend,
+                backend=(
+                    ("reference", "bitplane")[shard.index % 2]
+                    if backend == "mixed"
+                    else backend
+                ),
                 obstacles_mask=mask,
             )
         )
@@ -142,7 +151,7 @@ def _reference_run(spec, init, generations, obstacles=None):
 class TestShardMatrix:
     """Sharded runs are bit-identical to the whole-lattice reference."""
 
-    @pytest.mark.parametrize("backend", ["reference", "bitplane"])
+    @pytest.mark.parametrize("backend", ["reference", "bitplane", "mixed"])
     @pytest.mark.parametrize(
         "kind,chirality",
         MODEL_VARIANTS,
@@ -270,6 +279,44 @@ class TestShardRunnerValidation:
         top, _ = runner.boundary_rows()
         top[:] = 0xFF
         assert not np.array_equal(runner.interior[:BOUNDARY_ROWS], top)
+
+
+class TestShardRunnerStaysPacked:
+    def test_steady_state_allocates_less_than_one_packed_slab(self):
+        """Halo refresh + step never repacks the slab.
+
+        A bitplane shard holds its slab packed; per generation it
+        converts only its halo rows.  Eight generations must peak below
+        the slab's packed size (C planes of ``slab_rows x W`` words): a
+        per-generation pack, unpack or copy of the local frame alone
+        exceeds it.
+        """
+        import tracemalloc
+
+        from repro.lgca.bitplane import num_words
+
+        spec = ModelSpec(kind="fhp7", rows=128, cols=640)
+        shard = plan_shards(spec.rows, 2)[0]
+        runner = ShardRunner(
+            spec.build(rows=shard.local_rows),
+            shard,
+            spec.initial_state(0.3, 4)[shard.row_start : shard.row_stop],
+            backend="bitplane",
+        )
+        above, below = runner.boundary_rows()
+        runner.set_halos(above, below)
+        runner.step()  # first-call caches off the books
+        packed_slab = 7 * shard.slab_rows * num_words(spec.cols) * 8
+        tracemalloc.start()
+        try:
+            for _ in range(8):
+                runner.set_halos(above, below)
+                runner.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert runner.time == 9
+        assert peak < packed_slab, (peak, packed_slab)
 
 
 class TestModelSpec:

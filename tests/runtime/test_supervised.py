@@ -197,7 +197,7 @@ class TestCircuitBreaker:
         assert trips and trips[0]["state"] == "open"
         assert "consecutive failures" in trips[0]["reason"]
         # The rescued incarnation ran the fallback backend.
-        assert report.restarts[-1].backend == "bitplane"
+        assert report.restarts[-1].backend == "reference"
 
     def test_clean_bitplane_run_keeps_breaker_closed(self, spec, golden):
         state, report = supervised_run(
