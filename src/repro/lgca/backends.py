@@ -208,12 +208,32 @@ class BitplaneStepper(KernelStepper):
         super().__init__(model, recorder)
         self.kernel = BitplaneKernel(model, obstacles)  # type: ignore[arg-type]
         self._planes = self.kernel.alloc_planes()
+        rec = recorder if recorder is not None else NULL_RECORDER
+        self._pass_bytes = rec.counter("kernel.bitplane.plane_pass_bytes")
+        self._bytes_per_generation = (
+            self.kernel.passes_per_generation * self.kernel.plane_bytes
+        )
 
     def _write(self, rows: slice, values: np.ndarray) -> None:
         self._planes[:, rows] = self.kernel.pack(values)
 
     def read(self, rows: slice = _ALL_ROWS) -> np.ndarray:
         return self.kernel.unpack(self._planes[:, rows])
+
+    @hot_path
+    def advance(
+        self,
+        generations: int,
+        t0: int = 0,
+        rng: np.random.Generator | None = None,
+    ) -> None:
+        """As :meth:`KernelStepper.advance`, counting the planes' computed bytes.
+
+        Adds ``generations`` x passes x plane bytes to the
+        ``kernel.bitplane.plane_pass_bytes`` counter, once per call.
+        """
+        super().advance(generations, t0, rng)
+        self._pass_bytes.add(generations * self._bytes_per_generation)
 
     @hot_path
     def _tick(self, t: int, rng: np.random.Generator | None) -> None:

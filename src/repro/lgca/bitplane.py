@@ -12,14 +12,18 @@ the lattice-gas literature and the natural software analogue of the
 paper's bit-serial PE arrays.
 
 The collision logic is **derived mechanically** from the verified
-:class:`repro.lgca.collision.CollisionTable`: every state ``s`` the table
-changes contributes one *flip term* — the minterm recognizing ``s``
-ANDed across planes, XOR-ed into every output channel in
+:class:`repro.lgca.collision.CollisionTable` pair: every state ``s`` a
+table changes contributes one *flip term* — the minterm recognizing
+``s`` ANDed across planes, XOR-ed into every output channel in
 ``s ^ table[s]``.  Minterms of distinct states are disjoint, so the
-compiled expression computes exactly the table; construction re-checks
-this by evaluating the compiled logic over all ``2^C`` states
+compiled expression computes exactly the table.  The terms compile to
+one straight-line :class:`CollideProgram` (shared prefix ANDs, one
+minterm per changing state, chirality as a mask on its flips), and
+construction re-checks it by evaluating it over all ``2^C`` states
 (:func:`verify_plane_logic`).  Any conserving rule set — HPP, the FHP
 chirality variants, the collision-saturated tables — compiles this way.
+Collision is pointwise, so the program runs over row bands sized to
+:data:`BAND_BUDGET_BYTES` of cache.
 
 Storage layout: bit ``j`` of word ``w`` of row ``r`` in a plane is lattice
 site ``(r, 64*w + j)``.  Bits at column positions ``>= cols`` (the tail
@@ -53,9 +57,12 @@ __all__ = [
     "pack_state",
     "unpack_state",
     "FlipTerm",
-    "flip_terms",
     "split_chirality_terms",
+    "BAND_BUDGET_BYTES",
+    "CollideProgram",
+    "compile_program",
     "verify_plane_logic",
+    "alternate_chirality_planes",
     "BitplaneKernel",
 ]
 
@@ -278,16 +285,6 @@ def _make_term(state: int, out_state: int, num_channels: int) -> FlipTerm:
     )
 
 
-def flip_terms(table: CollisionTable) -> tuple[FlipTerm, ...]:
-    """Compile a collision table to its flip terms (changing states only)."""
-    num_channels = table.num_channels
-    return tuple(
-        _make_term(s, int(table.table[s]), num_channels)
-        for s in range(table.num_states)
-        if int(table.table[s]) != s
-    )
-
-
 def split_chirality_terms(
     left: CollisionTable, right: CollisionTable
 ) -> tuple[tuple[FlipTerm, ...], tuple[FlipTerm, ...], tuple[FlipTerm, ...]]:
@@ -317,54 +314,249 @@ def split_chirality_terms(
     return tuple(common), tuple(only_left), tuple(only_right)
 
 
-def _accumulate_flips(
-    terms: tuple[FlipTerm, ...],
-    planes: np.ndarray,
-    comps: np.ndarray,
-    acc: np.ndarray,
+#: Bytes a collide band's live planes may occupy: the 2 MiB per-core L2
+#: of the reference box (2 CPUs, 2 MiB of L2 each).  Collide is
+#: pointwise, so it runs over row bands with no halo; a band is as many
+#: rows as fit this budget across its live planes (inputs, outputs,
+#: scratch and masks), so after a band's first read every op of the
+#: program works on planes held in L2.
+BAND_BUDGET_BYTES = 2 * 1024 * 1024
+
+
+@dataclass(frozen=True)
+class CollideProgram:
+    """A collision table pair compiled to one straight-line plane program.
+
+    The program reads ``C`` input planes, their complements and,
+    when the chiralities differ, a mask ``M`` set where the left table
+    applies; it writes ``C`` output planes.  Each state either table
+    changes contributes one minterm, computed once.  Minterms share
+    their prefix ANDs along one channel order, and minterms that flip
+    the same channel sets are ORed into one group value ``g``.  A
+    group XORs ``g`` into the channels both chiralities flip, ``g & M``
+    into the left-only ones and ``g & ~M`` (as ``g ^ (g & M)``) into
+    the right-only ones.  Minterms of distinct states are disjoint, so
+    XOR-accumulation is exact.
+
+    Registers are numbered ``[inputs | scratch | mask | outputs]``, and
+    the scratch block starts with the ``C`` complements.  An op is
+    ``(ufunc, dst, a, b)``, evaluated as ``ufunc(r[a], r[b], out=r[dst])``.
+    """
+
+    num_channels: int
+    ops: tuple[tuple[np.ufunc, int, int, int], ...]
+    scratch_planes: int
+    passthrough: tuple[int, ...]
+    uses_mask: bool
+
+    @property
+    def passes(self) -> int:
+        """Whole-plane array ops per evaluation: complements, ops, copies."""
+        return self.num_channels + len(self.ops) + len(self.passthrough)
+
+
+def _channels(bits: int) -> tuple[int, ...]:
+    return tuple(ch for ch in range(bits.bit_length()) if (bits >> ch) & 1)
+
+
+def _greedy_order(groups: list[list[int]], num_channels: int) -> tuple[int, ...]:
+    """A channel order whose prefixes the groups' minterms share well.
+
+    Greedy, O(C^2 * terms): each next channel is the one that leaves
+    the fewest distinct prefixes (AND results) at the next depth.
+    """
+    order: list[int] = []
+    chosen = 0
+    for _ in range(num_channels):
+
+        def prefixes(ch: int) -> int:
+            bits = chosen | 1 << ch
+            return sum(len({s & bits for s in group}) for group in groups)
+
+        ch = min((c for c in range(num_channels) if not (chosen >> c) & 1), key=prefixes)
+        order.append(ch)
+        chosen |= 1 << ch
+    return tuple(order)
+
+
+class _Emitter:
+    """Builds a :class:`CollideProgram`'s ops and tracks register use."""
+
+    def __init__(self, num_channels: int, order: tuple[int, ...]):
+        c = num_channels
+        self.c = c
+        self.order = order
+        self.level = 2 * c  # prefix of d literals (d >= 2): level + d - 2
+        self.acc = 3 * c - 1
+        self.tmp = 3 * c
+        self.mask = 3 * c + 1
+        self.out = 3 * c + 2
+        self.ops: list[tuple[np.ufunc, int, int, int]] = []
+        self.written: set[int] = set()  # output channels flipped so far
+        self.value: int | None = None  # register of the group's OR so far
+
+    def emit(self, groups: dict[tuple[int, int, int], list[int]]) -> CollideProgram:
+        uses_mask = False
+        for (both, left, right), states in groups.items():
+            self.value = None
+            self._visit(0, None, states, positive=False)
+            g = self.value
+            assert g is not None
+            for ch in _channels(both):
+                self._flip(ch, g)
+            if left or right:
+                uses_mask = True
+                self.ops.append((np.bitwise_and, self.tmp, g, self.mask))
+                for ch in _channels(left):
+                    self._flip(ch, self.tmp)
+                if right:
+                    self.ops.append((np.bitwise_xor, self.tmp, g, self.tmp))
+                    for ch in _channels(right):
+                        self._flip(ch, self.tmp)
+        c = self.c
+        return CollideProgram(
+            num_channels=c,
+            ops=tuple(self.ops),
+            scratch_planes=self.mask - c,
+            passthrough=tuple(ch for ch in range(c) if ch not in self.written),
+            uses_mask=uses_mask,
+        )
+
+    def _visit(self, depth: int, node: int | None, states: list[int], positive: bool) -> None:
+        """Emit the prefix tree under ``node`` (``depth`` literals) for ``states``.
+
+        A prefix every completion of which is in the group is a leaf:
+        its AND already is the OR of those minterms.
+        """
+        ch = self.order[depth]
+        for bit in (1, 0):
+            sub = [s for s in states if (s >> ch) & 1 == bit]
+            if not sub:
+                continue
+            literal = ch if bit else self.c + ch
+            pos = positive or bit == 1
+            leaf = len(sub) == 1 << (self.c - depth - 1)
+            if node is None:
+                child = literal
+            else:
+                child = self.acc if leaf and self.value is None else self.level + depth - 1
+                self.ops.append((np.bitwise_and, child, node, literal))
+            if not leaf:
+                self._visit(depth + 1, child, sub, pos)
+                continue
+            if not pos:
+                # Only a positive literal keeps tail padding out of flips.
+                raise ValueError("a flip term without a particle cannot change")
+            if self.value is None:
+                self.value = child
+            else:
+                self.ops.append((np.bitwise_or, self.acc, self.value, child))
+                self.value = self.acc
+
+    def _flip(self, ch: int, reg: int) -> None:
+        # The first flip of a channel XORs its input into the output.
+        source = self.out + ch if ch in self.written else ch
+        self.ops.append((np.bitwise_xor, self.out + ch, source, reg))
+        self.written.add(ch)
+
+
+def compile_program(
+    common: tuple[FlipTerm, ...],
+    only_left: tuple[FlipTerm, ...] = (),
+    only_right: tuple[FlipTerm, ...] = (),
+    *,
+    num_channels: int,
+) -> CollideProgram:
+    """Compile the terms of :func:`split_chirality_terms` to one program."""
+    flips: dict[int, list[int]] = {}
+    for term in common:
+        flips[term.state] = [term.flips, term.flips]
+    for term in only_left:
+        flips.setdefault(term.state, [0, 0])[0] = term.flips
+    for term in only_right:
+        flips.setdefault(term.state, [0, 0])[1] = term.flips
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for state, (left, right) in sorted(flips.items()):
+        groups.setdefault((left & right, left & ~right, right & ~left), []).append(state)
+    order = _greedy_order(list(groups.values()), num_channels)
+    return _Emitter(num_channels, order).emit(groups)
+
+
+def _evaluate(
+    program: CollideProgram,
+    src: np.ndarray,
+    dst: np.ndarray,
+    mask: np.ndarray | None,
     scratch: np.ndarray,
 ) -> None:
-    """OR every term's minterm into the flip planes of its channels.
+    """Run ``program`` on ``(C, rows, W)`` planes ``src`` into ``dst``.
 
-    ``planes``/``comps``/``acc`` are ``(C, rows, W)``; ``scratch`` is one
-    ``(rows, W)`` plane.  The first factor is always a positive literal,
-    which keeps tail padding clear throughout.
+    ``mask`` is the ``(rows, W)`` left-chirality plane (unused, and may
+    be None, unless ``program.uses_mask``); ``scratch`` holds
+    ``program.scratch_planes`` planes of the same shape.
     """
-    for term in terms:
-        np.copyto(scratch, planes[term.pos[0]])
-        for ch in term.pos[1:]:
-            scratch &= planes[ch]
-        for ch in term.neg:
-            scratch &= comps[ch]
-        for ch in term.flip_channels:
-            acc[ch] |= scratch
+    num_channels = program.num_channels
+    np.bitwise_not(src, out=scratch[:num_channels])
+    regs = [*src, *scratch, mask, *dst]
+    for ufunc, d, a, b in program.ops:
+        ufunc(regs[a], regs[b], out=regs[d])
+    for ch in program.passthrough:
+        np.copyto(dst[ch], src[ch])
 
 
-def verify_plane_logic(table: CollisionTable, terms: tuple[FlipTerm, ...]) -> None:
-    """Check compiled flip terms against the table over **all** states.
+def verify_plane_logic(
+    program: CollideProgram,
+    left: CollisionTable,
+    right: CollisionTable | None = None,
+) -> None:
+    """Check a compiled program against its tables over **all** states.
 
-    Runs the exact vectorized accumulation the kernel uses on a one-row
-    field enumerating every state, and compares the XOR-reconstructed
-    outputs entry by entry.  Raises ``ValueError`` on any divergence, so
-    a kernel holding compiled terms is as trustworthy as the verified
-    table it came from.
+    Evaluates ``program`` with the routine ``collide_into`` runs, on a
+    one-row field enumerating every state: with the chirality mask all
+    ones against ``left``, and, given ``right``, with it all zeros
+    against ``right``.  Raises ``ValueError`` on any divergence, so a
+    kernel holding a program is as trustworthy as the verified tables
+    it came from.
     """
-    num_channels = table.num_channels
-    n = table.num_states
+    num_channels = program.num_channels
+    n = 1 << num_channels
     states = np.arange(n, dtype=np.uint16).reshape(1, n)
     planes = pack_state(states, num_channels)
-    comps = np.bitwise_not(planes)
-    flips = np.zeros_like(planes)
-    scratch = np.empty_like(planes[0])
-    _accumulate_flips(terms, planes, comps, flips, scratch)
-    out = unpack_state(np.bitwise_xor(planes, flips), n)
-    expected = table.table[states].astype(out.dtype)
-    if not np.array_equal(out, expected):
-        bad = int(np.nonzero(out != expected)[1][0])
-        raise ValueError(
-            f"plane-compiled logic diverges from table {table.name!r} at state "
-            f"{bad:#x}: {int(out[0, bad]):#x} != {int(expected[0, bad]):#x}"
-        )
+    out = np.empty_like(planes)
+    scratch = np.empty((program.scratch_planes,) + planes.shape[1:], dtype=np.uint64)
+    ones = pack_plane(np.ones((1, n), dtype=np.uint8))
+    checks = [(left, ones)] if right is None else [(left, ones), (right, np.zeros_like(ones))]
+    for table, mask in checks:
+        if table.num_channels != num_channels:
+            raise ValueError(
+                f"table {table.name!r} has {table.num_channels} channels, "
+                f"the program {num_channels}"
+            )
+        _evaluate(program, planes, out, mask, scratch)
+        got = unpack_state(out, n)
+        expected = table.table[states].astype(got.dtype)
+        if not np.array_equal(got, expected):
+            bad = int(np.nonzero(got != expected)[1][0])
+            raise ValueError(
+                f"plane-compiled logic diverges from table {table.name!r} at state "
+                f"{bad:#x}: {int(got[0, bad]):#x} != {int(expected[0, bad]):#x}"
+            )
+
+
+def alternate_chirality_planes(rows: int, cols: int) -> np.ndarray:
+    """Packed left masks of ``"alternate"`` chirality for even and odd ``t``.
+
+    ``(r + c + t) % 2`` selects the left table, so every row is one
+    fixed word: odd columns (``0xAAAA...``) where ``r + t`` is even,
+    even columns (``0x5555...``) where it is odd.  Returns
+    ``(2, rows, W)``, entry ``t % 2`` for generation ``t``; tail padding
+    is zero.
+    """
+    planes = np.empty((2, rows, num_words(cols)), dtype=np.uint64)
+    planes[0, 0::2] = planes[1, 1::2] = np.uint64(0xAAAAAAAAAAAAAAAA)
+    planes[0, 1::2] = planes[1, 0::2] = np.uint64(0x5555555555555555)
+    planes[:, :, -1] &= _tail_mask(cols)
+    return planes
 
 
 # -- word-level shifts --------------------------------------------------------
@@ -467,43 +659,30 @@ class BitplaneKernel:
         rows, w = self.rows, self.words
         shape = (rows, w)
 
-        # -- collision terms, mechanically compiled and cross-checked ---------
-        self._chirality: str | None = None
+        # -- collide program, mechanically compiled and cross-checked ---------
         if isinstance(model, FHPModel):
             left, right = model.collision_tables
-            if model.chirality == "left":
-                self._common = flip_terms(left)
-                self._left_terms: tuple[FlipTerm, ...] = ()
-                self._right_terms: tuple[FlipTerm, ...] = ()
-                verify_plane_logic(left, self._common)
-            elif model.chirality == "right":
-                self._common = flip_terms(right)
-                self._left_terms = ()
-                self._right_terms = ()
-                verify_plane_logic(right, self._common)
-            else:
-                self._chirality = model.chirality
-                self._common, self._left_terms, self._right_terms = (
-                    split_chirality_terms(left, right)
-                )
-                verify_plane_logic(left, self._common + self._left_terms)
-                verify_plane_logic(right, self._common + self._right_terms)
+            tables = {"left": (left,), "right": (right,)}.get(
+                model.chirality, (left, right)
+            )
             self._kind = "fhp"
         else:
-            self._common = flip_terms(model.collision_table)
-            self._left_terms = ()
-            self._right_terms = ()
-            verify_plane_logic(model.collision_table, self._common)
+            tables = (model.collision_table,)
             self._kind = "hpp"
+        # One table splits into common terms only.
+        self.program = compile_program(
+            *split_chirality_terms(tables[0], tables[-1]),
+            num_channels=self.num_channels,
+        )
+        verify_plane_logic(self.program, *tables)
 
         # -- masks -------------------------------------------------------------
-        if self._chirality == "alternate":
-            even = model.chirality_field(0)
-            odd = model.chirality_field(1)
-            self._alt_masks = (
-                (pack_plane(even), pack_plane(~even)),
-                (pack_plane(odd), pack_plane(~odd)),
-            )
+        self._rand_m: np.ndarray | None = None
+        if self.program.uses_mask:
+            if model.chirality == "random":  # type: ignore[union-attr]
+                self._rand_m = np.empty(shape, dtype=np.uint64)
+            else:
+                self._alt_masks = alternate_chirality_planes(rows, self.cols)
         mask = getattr(obstacles, "mask", obstacles)
         if mask is not None and np.any(mask):
             mask = np.asarray(mask, dtype=bool)
@@ -528,17 +707,21 @@ class BitplaneKernel:
 
         # -- preallocated working storage -------------------------------------
         num_channels = self.num_channels
-        self._comps = np.empty((num_channels, rows, w), dtype=np.uint64)
-        self._flips = np.empty((num_channels, rows, w), dtype=np.uint64)
+        program = self.program
+        # A band's live planes: inputs, outputs, scratch, mask, obstacles.
+        live = 2 * num_channels + program.scratch_planes + program.uses_mask
+        live += 2 * (self._solid is not None)
+        #: Rows per collide band (the last band may be shorter).
+        self.band_rows = band = max(1, min(rows, BAND_BUDGET_BYTES // (live * w * 8)))
+        scratch = np.empty((program.scratch_planes, band, w), dtype=np.uint64)
+        self._bands = tuple(
+            (r0, min(r0 + band, rows), scratch[:, : min(band, rows - r0)])
+            for r0 in range(0, rows, band)
+        )
         self._scratch = np.empty(shape, dtype=np.uint64)
         self._carry = np.empty(shape, dtype=np.uint64)
         self._stage = np.empty(shape, dtype=np.uint64)
         self._mid = np.empty((num_channels, rows, w), dtype=np.uint64)
-        if self._left_terms or self._right_terms:
-            self._side = np.empty((num_channels, rows, w), dtype=np.uint64)
-        if self._chirality == "random":
-            self._rand_m = np.empty(shape, dtype=np.uint64)
-            self._rand_not_m = np.empty(shape, dtype=np.uint64)
 
     # -- plane <-> field conversion -------------------------------------------
 
@@ -558,19 +741,15 @@ class BitplaneKernel:
 
     # -- collision -------------------------------------------------------------
 
-    def _chirality_planes(
-        self, t: int, rng: np.random.Generator | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Packed (left-mask, right-mask) planes for generation ``t``."""
-        if self._chirality == "alternate":
+    def _chirality_mask(self, t: int, rng: np.random.Generator | None) -> np.ndarray:
+        """The packed left-chirality plane for generation ``t``."""
+        if self._rand_m is None:
             return self._alt_masks[t % 2]
-        assert self._chirality == "random"
         field = self.model.chirality_field(t, rng)  # type: ignore[union-attr]
         # Random chirality needs a fresh packed mask each generation;
         # this is inherent to the model, not a fixable leak.
         self._rand_m[...] = pack_plane(field)  # repro: alloc-ok
-        self._rand_not_m[...] = pack_plane(~field)  # repro: alloc-ok
-        return self._rand_m, self._rand_not_m
+        return self._rand_m
 
     @hot_path
     def collide_into(
@@ -580,38 +759,24 @@ class BitplaneKernel:
         t: int = 0,
         rng: np.random.Generator | None = None,
     ) -> None:
-        """Boolean-algebra collision: ``out = in XOR flips(in)``.
+        """Boolean-algebra collision: ``out = in XOR flips(in)``, band by band.
 
         Solid (obstacle) sites bounce back instead, exactly like the
         reference automaton.  ``planes_out`` must not alias ``planes_in``.
         """
-        comps, flips = self._comps, self._flips
-        num_channels = self.num_channels
-        for ch in range(num_channels):
-            np.bitwise_not(planes_in[ch], out=comps[ch])
-        flips[...] = 0
-        _accumulate_flips(self._common, planes_in, comps, flips, self._scratch)
-        if self._left_terms or self._right_terms:
-            left_mask, right_mask = self._chirality_planes(t, rng)
-            side = self._side
-            side[...] = 0
-            _accumulate_flips(self._left_terms, planes_in, comps, side, self._scratch)
-            for ch in range(num_channels):
-                side[ch] &= left_mask
-                flips[ch] |= side[ch]
-            side[...] = 0
-            _accumulate_flips(self._right_terms, planes_in, comps, side, self._scratch)
-            for ch in range(num_channels):
-                side[ch] &= right_mask
-                flips[ch] |= side[ch]
-        for ch in range(num_channels):
-            np.bitwise_xor(planes_in[ch], flips[ch], out=planes_out[ch])
-        if self._solid is not None:
-            scratch = self._scratch
-            for ch in range(num_channels):
-                planes_out[ch] &= self._not_solid
-                np.bitwise_and(planes_in[self._opposite[ch]], self._solid, out=scratch)
-                planes_out[ch] |= scratch
+        program = self.program
+        mask = self._chirality_mask(t, rng) if program.uses_mask else None
+        solid = self._solid
+        for r0, r1, scratch in self._bands:
+            src = planes_in[:, r0:r1]
+            dst = planes_out[:, r0:r1]
+            _evaluate(program, src, dst, None if mask is None else mask[r0:r1], scratch)
+            if solid is not None:
+                np.bitwise_and(dst, self._not_solid[r0:r1], out=dst)
+                bounced = scratch[0]
+                for ch, opposite in enumerate(self._opposite):
+                    np.bitwise_and(src[opposite], solid[r0:r1], out=bounced)
+                    dst[ch] |= bounced
 
     # -- propagation -----------------------------------------------------------
 
@@ -673,6 +838,41 @@ class BitplaneKernel:
             for ch in range(6):
                 np.bitwise_and(planes_in[ch], self._tgt_invalid[ch], out=scratch)
                 planes_out[(ch + 3) % 6] |= scratch
+
+    # -- accounting --------------------------------------------------------------
+
+    @property
+    def plane_bytes(self) -> int:
+        """Bytes of one ``(rows, W)`` bit-plane."""
+        return self.rows * self.words * 8
+
+    @property
+    def passes_per_generation(self) -> int:
+        """Whole-plane array ops of one :meth:`step_into`: collide plus propagate.
+
+        Computed from the compiled program and the propagate structure,
+        not measured.  An op over every band of a plane, or over both
+        row-parity halves of one, counts as one pass; row- and
+        column-sized edge fixes do not count.
+        """
+        collide = self.program.passes
+        if self._solid is not None:
+            collide += 3 * self.num_channels  # mask, bounce, OR per channel
+        return collide + self._propagate_passes()
+
+    def _propagate_passes(self) -> int:
+        def cols(dc: int) -> int:
+            return 1 if dc == 0 else 3  # a copy, or shift + carry + OR
+
+        reflecting = self.boundary == "reflecting"
+        if self._kind == "hpp":
+            return sum(cols(dc) for _, dc in HPP_OFFSETS) + 4 * reflecting
+        passes = 0
+        for ch in range(6):
+            even, odd = _COL_OFFSET_EVEN[ch], _COL_OFFSET_ODD[ch]
+            passes += cols(even) if even == odd else (cols(even) + cols(odd)) // 2
+            passes += 1  # the row move
+        return passes + (self.num_channels - 6) + 12 * reflecting
 
     # -- full generation -------------------------------------------------------
 

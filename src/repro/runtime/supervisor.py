@@ -48,7 +48,7 @@ import multiprocessing
 import shutil
 import tempfile
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 
@@ -420,8 +420,11 @@ class _Supervision:
         h.incarnation += 1
         h.backend = self.breaker.select_backend(self.barrier)
         if h.pending_restart is not None:
+            # Announced here, not at the failure, so the event names the
+            # backend this incarnation runs, as the report does.
             i, h.pending_restart = h.pending_restart, None
             self.restarts[i] = replace(self.restarts[i], backend=h.backend)
+            self.recorder.event("supervisor.restart", **asdict(self.restarts[i]))
         shard = h.shard
         wc = WorkerConfig(
             worker=h.index,
@@ -515,15 +518,6 @@ class _Supervision:
             )
         )
         self.total_restarts += 1
-        self.recorder.event(
-            "supervisor.restart",
-            worker=h.index,
-            incarnation=h.incarnation + 1,
-            generation=self.barrier,
-            reason=reason,
-            delay=delay,
-            backend=h.backend,
-        )
 
     def _drop(self, h: _Handle, reason: str) -> None:
         """Give up on a shard: freeze its boundary rows, note degradation."""

@@ -17,6 +17,7 @@ from repro.lgca.backends import BACKENDS, KernelStepper, make_stepper
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
 from repro.lgca.hpp import HPPModel
+from repro.telemetry import InMemoryRecorder
 from repro.util.errors import ConfigError
 
 GENERATIONS = 8  # enough for propagation to wrap small lattices
@@ -233,6 +234,20 @@ class TestStepperContracts:
                 np.testing.assert_array_equal(
                     stepper.read(), ran, err_msg=f"{backend} cols={cols}"
                 )
+
+    def test_bitplane_counts_plane_pass_bytes(self):
+        """The counter is generations x passes x plane bytes, per call."""
+        rec = InMemoryRecorder()
+        model, state = _fhp7(65)
+        stepper = make_stepper(model, backend="bitplane", recorder=rec)
+        stepper.run(state, 3)
+        stepper.advance(4, 3)
+        kernel = stepper.kernel
+        expected = 7 * kernel.passes_per_generation * kernel.plane_bytes
+        assert rec.counter("kernel.bitplane.plane_pass_bytes").value == expected
+        # fhp7 propagate: 20 passes for the moving channels, 1 rest copy;
+        # a plane is 6 rows of 2 words.
+        assert expected == 7 * (kernel.program.passes + 21) * 6 * 2 * 8
 
     def test_automaton_time_advances_once_per_run(self):
         model = HPPModel(6, 6)

@@ -1,13 +1,19 @@
 """Unit tests for the multi-spin coded (bit-plane) kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.lgca import bitplane
+from repro.lgca.automaton import ObstacleMap
+from repro.lgca.backends import make_stepper
 from repro.lgca.bitplane import (
     WORD_BITS,
     BitplaneKernel,
     FlipTerm,
-    flip_terms,
+    alternate_chirality_planes,
+    compile_program,
     num_words,
     pack_plane,
     pack_state,
@@ -97,9 +103,26 @@ class TestPackUnpack:
             unpack_plane(np.zeros((2, 2), dtype=np.uint64), 300)
 
 
+ALL_TABLES = [
+    hpp_collision_table(),
+    *fhp6_collision_tables(),
+    *fhp7_collision_tables(),
+    *fhp_saturated_tables(),
+]
+
+
+def single_table_program(table):
+    """A table's program: one table splits into common terms only."""
+    return compile_program(
+        *split_chirality_terms(table, table), num_channels=table.num_channels
+    )
+
+
 class TestFlipTerms:
     def test_hpp_terms(self):
-        terms = flip_terms(hpp_collision_table())
+        table = hpp_collision_table()
+        terms, only_left, only_right = split_chirality_terms(table, table)
+        assert only_left == only_right == ()
         # exactly the two head-on states change
         assert {t.state for t in terms} == {0b0101, 0b1010}
         for t in terms:
@@ -108,35 +131,22 @@ class TestFlipTerms:
             assert len(t.pos) == 2 and len(t.neg) == 2
 
     def test_every_term_has_a_positive_literal(self):
-        for table in (
-            hpp_collision_table(),
-            *fhp6_collision_tables(),
-            *fhp7_collision_tables(),
-            *fhp_saturated_tables(),
-        ):
-            for term in flip_terms(table):
+        for table in ALL_TABLES:
+            for term in split_chirality_terms(table, table)[0]:
                 assert term.pos, f"{table.name} state {term.state:#x}"
 
-    @pytest.mark.parametrize(
-        "table",
-        [
-            hpp_collision_table(),
-            *fhp6_collision_tables(),
-            *fhp7_collision_tables(),
-            *fhp_saturated_tables(),
-        ],
-        ids=lambda t: t.name,
-    )
+    @pytest.mark.parametrize("table", ALL_TABLES, ids=lambda t: t.name)
     def test_compiled_logic_matches_table(self, table):
-        verify_plane_logic(table, flip_terms(table))
+        verify_plane_logic(single_table_program(table), table)
 
     def test_verify_rejects_wrong_terms(self):
         table = hpp_collision_table()
-        terms = flip_terms(table)
+        terms, _, _ = split_chirality_terms(table, table)
         broken = (FlipTerm(state=terms[0].state, flips=0b0001, pos=terms[0].pos,
                            neg=terms[0].neg, flip_channels=(0,)),) + terms[1:]
+        program = compile_program(broken, num_channels=4)
         with pytest.raises(ValueError, match="diverges"):
-            verify_plane_logic(table, broken)
+            verify_plane_logic(program, table)
 
     def test_chirality_split_covers_both_tables(self):
         left, right = fhp6_collision_tables()
@@ -146,14 +156,147 @@ class TestFlipTerms:
         # three distinct head-on states: {0,3}, {1,4}, {2,5}
         assert {t.state for t in only_left} == {0b001001, 0b010010, 0b100100}
         assert len(only_left) == len(only_right) == 3
-        verify_plane_logic(left, common + only_left)
-        verify_plane_logic(right, common + only_right)
+        program = compile_program(common, only_left, only_right, num_channels=6)
+        assert program.uses_mask
+        verify_plane_logic(program, left, right)
+        # Swapped tables must fail the mask-zero (right) check.
+        with pytest.raises(ValueError, match="diverges"):
+            verify_plane_logic(program, left, left)
 
     def test_chirality_split_channel_mismatch(self):
         left, _ = fhp6_collision_tables()
         _, right7 = fhp7_collision_tables()
         with pytest.raises(ValueError):
             split_chirality_terms(left, right7)
+
+
+#: Whole-plane passes of one collide: the term-by-term accumulation took
+#: 28, 138, 379 and 1479; the factored program must not regress past these.
+PROGRAM_PASSES = {"hpp": 15, "fhp6": 62, "fhp7": 162, "fhp-sat": 841}
+
+
+def build_model(name, rows, cols, **kwargs):
+    if name == "hpp":
+        kwargs.pop("chirality", None)
+        return HPPModel(rows, cols, **kwargs)
+    return FHPModel(
+        rows,
+        cols,
+        rest_particles=name in ("fhp7", "fhp-sat"),
+        saturated=name == "fhp-sat",
+        **kwargs,
+    )
+
+
+class TestProgram:
+    @pytest.mark.parametrize("name", sorted(PROGRAM_PASSES))
+    def test_passes_per_collide(self, name):
+        kernel = BitplaneKernel(build_model(name, 8, 8))
+        assert kernel.program.passes <= PROGRAM_PASSES[name]
+        assert kernel.passes_per_generation > kernel.program.passes
+
+    def test_single_chirality_needs_no_mask(self):
+        for chirality in ("left", "right"):
+            kernel = BitplaneKernel(FHPModel(8, 8, chirality=chirality))
+            assert not kernel.program.uses_mask
+
+    @pytest.mark.parametrize("name", ["hpp", "fhp6", "fhp7", "fhp-sat"])
+    def test_corrupted_program_rejected_at_build(self, name, monkeypatch):
+        """One flip channel changed in one term: the kernel must not build."""
+        split = bitplane.split_chirality_terms
+
+        def corrupted(left, right):
+            common, only_left, only_right = split(left, right)
+            term = common[0]
+            flips = term.flips ^ 1  # channel 0 flipped wrongly
+            bad = dataclasses.replace(
+                term,
+                flips=flips,
+                flip_channels=tuple(ch for ch in range(8) if (flips >> ch) & 1),
+            )
+            return (bad,) + common[1:], only_left, only_right
+
+        monkeypatch.setattr(bitplane, "split_chirality_terms", corrupted)
+        with pytest.raises(ValueError, match="diverges"):
+            BitplaneKernel(build_model(name, 8, 8))
+
+    @pytest.mark.parametrize("rows", [6, 7])
+    @pytest.mark.parametrize("cols", [3, 63, 64, 65, 130])
+    def test_alternate_masks_built_packed(self, rows, cols):
+        model = FHPModel(rows, cols, chirality="alternate", boundary="null")
+        planes = alternate_chirality_planes(rows, cols)
+        for t in (0, 1):
+            assert np.array_equal(planes[t], pack_plane(model.chirality_field(t)))
+
+
+#: Every model and chirality policy the bit-plane kernel compiles.
+POLICIES = [("hpp", None)] + [
+    (name, chirality)
+    for name in ("fhp6", "fhp7", "fhp-sat")
+    for chirality in ("alternate", "random", "left", "right")
+]
+
+#: Live planes of the widest band (C = 7 with obstacles: 32) stay below
+#: this, so a budget of 3 rows of it gives bands of 3 to 7 rows.
+_MAX_LIVE_PLANES = 40
+
+#: Rows of the banded lattices: even, as periodic FHP needs, and not a
+#: multiple of any band height the budget above gives.
+BANDED_ROWS = 22
+
+
+def banded_budget(cols, band):
+    if band == "one-row":
+        return 1
+    return 3 * _MAX_LIVE_PLANES * num_words(cols) * 8
+
+
+def assert_banded_run_matches_reference(model, solid, steps=6, seed=0):
+    rng_state = np.random.default_rng(seed)
+    state = uniform_random_state(
+        model.rows, model.cols, model.num_channels, 0.4, rng_state
+    )
+    if solid is not None:
+        state[solid] = 0
+    results = []
+    for backend in ("reference", "bitplane"):
+        stepper = make_stepper(model, solid, backend=backend)
+        results.append(stepper.run(state, steps, rng=np.random.default_rng(seed + 1)))
+    assert np.array_equal(results[1], results[0])
+
+
+def assert_split(kernel, band):
+    if band == "one-row":
+        assert kernel.band_rows == 1
+    else:
+        assert 1 < kernel.band_rows < BANDED_ROWS
+        assert BANDED_ROWS % kernel.band_rows, "the last band must be partial"
+
+
+class TestBands:
+    """Collide bands of one row, and several with a partial last band."""
+
+    @pytest.mark.parametrize("band", ["one-row", "multi-row"])
+    @pytest.mark.parametrize("cols", [63, 64, 65, 130])
+    @pytest.mark.parametrize("name,chirality", POLICIES, ids=lambda p: str(p))
+    def test_banded_run_matches_reference(self, name, chirality, cols, band, monkeypatch):
+        monkeypatch.setattr(bitplane, "BAND_BUDGET_BYTES", banded_budget(cols, band))
+        model = build_model(name, BANDED_ROWS, cols, chirality=chirality)
+        kernel = BitplaneKernel(model)
+        assert_split(kernel, band)
+        assert_banded_run_matches_reference(model, None)
+
+    @pytest.mark.parametrize("band", ["one-row", "multi-row"])
+    @pytest.mark.parametrize("boundary", ["periodic", "null", "reflecting"])
+    @pytest.mark.parametrize("name", ["hpp", "fhp6", "fhp7", "fhp-sat"])
+    def test_banded_run_with_edges_and_obstacles(self, name, boundary, band, monkeypatch):
+        cols = 65
+        monkeypatch.setattr(bitplane, "BAND_BUDGET_BYTES", banded_budget(cols, band))
+        model = build_model(name, BANDED_ROWS, cols, boundary=boundary)
+        mask = np.random.default_rng(9).random((BANDED_ROWS, cols)) < 0.15
+        kernel = BitplaneKernel(model, obstacles=mask)
+        assert_split(kernel, band)
+        assert_banded_run_matches_reference(model, mask)
 
 
 class TestKernel:
@@ -200,8 +343,6 @@ class TestKernel:
             assert np.array_equal(kernel.unpack(out), model.collide(state, t))
 
     def test_obstacle_bounce_back(self):
-        from repro.lgca.automaton import ObstacleMap
-
         mask = np.zeros((8, 70), dtype=bool)
         mask[3, 40] = True
         model = HPPModel(8, 70)

@@ -241,4 +241,17 @@ class TestBreakerScenario:
             b == "reference" for name, b in backends.items()
             if name.startswith("worker-0.")
         )
+        # Each restart event names the backend its incarnation ran, as
+        # that incarnation's spawn event and the report's restarts do.
+        restarts = events_named(report, "supervisor.restart")
+        spawned = {
+            (e["worker"], e["incarnation"]): e["backend"]
+            for e in events_named(report, "supervisor.spawn")
+        }
+        assert [(e["worker"], e["incarnation"], e["backend"]) for e in restarts] == [
+            (r.worker, r.incarnation, r.backend) for r in report.restarts
+        ]
+        for e in restarts:
+            assert e["backend"] == spawned[(e["worker"], e["incarnation"])]
+        assert restarts[-1]["backend"] == "reference"
         assert validate_report(report.telemetry.to_dict()) == []
