@@ -5,7 +5,9 @@ supervised runtime (:mod:`repro.runtime`) promises fault tolerance for
 roughly the price of the halo exchange, and this benchmark measures
 that price.  Both arms advance the same lattice the same number of
 generations on the same backend; the supervised arm adds worker
-processes, the lock-step boundary barrier, and durable checkpoints.
+processes, the block barrier (one halo exchange per block of up to
+``HALO_GENERATIONS`` generations, see :mod:`repro.lattice.slabs`), and
+durable checkpoints.
 R is site updates per second, the paper's throughput quantity.
 
 Each arm is split into setup and steady state.  The direct arm's setup
@@ -25,7 +27,8 @@ which measures at 1 and at 2 workers (``--workers 1,2``) and exits 1
 if the best steady-state tax at any worker count exceeds 15%.  Only at
 1 worker do the arms do the same compute on one CPU, so that tax is
 the supervision price itself (halo exchange, barrier IPC, per-shard
-row conversion).  At 2 workers a second CPU can step half the lattice
+row conversion, and the halo rows each block recomputes); CI gates it
+with ``--workers 1``.  At 2 workers a second CPU can step half the lattice
 in parallel, so that tax mixes the supervision price with a parallel
 speed-up and can be negative.
 """

@@ -1128,7 +1128,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="SPEC",
         help="induce a worker fault for testing: KIND:WORKER@GEN"
-        "[:backend=B][:lives=N][:seconds=S], KIND in kill|stall|backend-error",
+        "[:backend=B][:lives=N][:seconds=S], KIND in kill|stall|backend-error; "
+        "it fires at the start of the block of generations holding GEN",
     )
     g.add_argument(
         "--verify",

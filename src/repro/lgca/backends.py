@@ -21,7 +21,8 @@ through one contract: :meth:`~KernelStepper.write` site rows in,
 rows out.  The stepper keeps its lattice in its own storage format
 between calls (the bitplane stepper keeps it packed), so a shard
 converts only the rows it exchanges.  ``read`` returns a fresh array,
-and ``advance`` allocates nothing.
+``read_planes`` the same rows packed (the shard checkpoint format), and
+``advance`` allocates nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.lgca.bitplane import BitplaneKernel
+from repro.lgca.bitplane import BitplaneKernel, pack_state
 from repro.lgca.bits import bounce_back_table
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
@@ -108,6 +109,14 @@ class KernelStepper(ABC):
     @abstractmethod
     def read(self, rows: slice = _ALL_ROWS) -> np.ndarray:
         """The sites of ``rows`` as a fresh uint8 array."""
+
+    def read_planes(self, rows: slice = _ALL_ROWS) -> np.ndarray:
+        """The sites of ``rows`` as fresh ``(C, n, W)`` uint64 bit-planes.
+
+        The packed layout of :func:`~repro.lgca.bitplane.pack_state`,
+        whatever the backend's own storage.
+        """
+        return pack_state(self.read(rows), self.model.num_channels)  # type: ignore[attr-defined]
 
     @abstractmethod
     def _tick(self, t: int, rng: np.random.Generator | None) -> None:
@@ -219,6 +228,9 @@ class BitplaneStepper(KernelStepper):
 
     def read(self, rows: slice = _ALL_ROWS) -> np.ndarray:
         return self.kernel.unpack(self._planes[:, rows])
+
+    def read_planes(self, rows: slice = _ALL_ROWS) -> np.ndarray:
+        return self._planes[:, rows].copy()
 
     @hot_path
     def advance(

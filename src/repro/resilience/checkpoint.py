@@ -1,27 +1,38 @@
 """Checkpoint/restart for lattice evolutions.
 
 A checkpoint is everything needed to replay deterministically from a
-generation boundary: the state field, the RNG bit-generator state (for
-``chirality="random"`` models), and the generation index.  Checkpoints
-carry their own parity tags so a *corrupted checkpoint* is detected at
-restore time instead of silently seeding a wrong replay.
+generation boundary: the state, the RNG bit-generator state (for
+``chirality="random"`` models), and the generation index.  The state
+is a ``(rows, cols)`` site field or, for the supervised runtime's
+shards, the slab's ``(C, rows, W)`` packed bit-planes.  Checkpoints
+carry their own per-row parity tags
+(:func:`~repro.resilience.monitors.row_parity_tags`) so a *corrupted
+checkpoint* is detected at restore time instead of silently seeding a
+wrong replay, and the error names the corrupted rows.
 
 The store keeps a bounded in-memory ring and can additionally persist
 every checkpoint to a directory.  Durable writes are **crash-safe**:
 each checkpoint is written to a temporary file, flushed and fsynced,
 then moved into place with an atomic rename (and the directory entry
 fsynced) — a process killed at any instant mid-checkpoint leaves the
-previous restorable frame untouched.  Restore scans newest-to-oldest
-and skips anything unreadable or parity-corrupt, so a torn or rotted
-file degrades to an older recovery point, never to a wrong replay.
+previous restorable frame untouched.  A durable file
+(``ckpt-<generation>.ckpt``) is five ``.npy`` records back to back:
+generation, state, tags, RNG state as JSON, and a CRC-32 of the
+generation and the RNG state — the fields the row tags do not cover.
+There is no container checksum over the state, so a flipped bit in the
+state or the tags is reported by the tags, row by row.  Restore scans
+newest-to-oldest and skips anything unreadable or corrupt, so a torn or
+rotted file degrades to an older recovery point, never to a wrong
+replay.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zipfile
-from dataclasses import dataclass, field
+import tokenize
+import zlib
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +43,15 @@ from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["Checkpoint", "CheckpointStore"]
 
-#: Durable checkpoint filename prefix (``ckpt-<generation>.npz``).
+#: Durable checkpoint filename prefix and suffix (``ckpt-<generation>.ckpt``).
 _FILE_PREFIX = "ckpt-"
+_FILE_SUFFIX = ".ckpt"
 _TMP_PREFIX = ".tmp-"
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One recovery point: state field + RNG state + generation index."""
+    """One recovery point: state + RNG state + generation index."""
 
     generation: int
     state: np.ndarray = field(repr=False)
@@ -47,10 +59,15 @@ class Checkpoint:
     tags: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def verify(self) -> None:
-        """Raise :class:`CheckpointError` if the stored state rotted."""
+        """Raise :class:`CheckpointError` naming the rows that rotted."""
         if self.tags is None:
             return
         current = row_parity_tags(self.state)
+        if current.shape != self.tags.shape:
+            raise CheckpointError(
+                f"checkpoint at generation {self.generation} has "
+                f"{self.tags.size} row tags for {current.size} rows"
+            )
         if not np.array_equal(current, self.tags):
             bad = np.nonzero(current != self.tags)[0]
             raise CheckpointError(
@@ -60,7 +77,21 @@ class Checkpoint:
 
 
 def _checkpoint_path(directory: Path, generation: int) -> Path:
-    return directory / f"{_FILE_PREFIX}{generation:012d}.npz"
+    return directory / f"{_FILE_PREFIX}{generation:012d}{_FILE_SUFFIX}"
+
+
+def _checkpoint_files(directory: Path) -> list[Path]:
+    """Durable checkpoint files, oldest first (temp files excluded)."""
+    return sorted(
+        p
+        for p in directory.iterdir()
+        if p.name.startswith(_FILE_PREFIX) and p.suffix == _FILE_SUFFIX
+    )
+
+
+def _meta_check(generation: int, rng_json: str) -> np.ndarray:
+    """CRC-32 of the fields the row tags do not cover."""
+    return np.asarray(zlib.crc32(f"{generation}:{rng_json}".encode()), dtype=np.uint32)
 
 
 def _write_durable(directory: Path, cp: Checkpoint) -> Path:
@@ -70,13 +101,14 @@ def _write_durable(directory: Path, cp: Checkpoint) -> Path:
     rng_json = "" if cp.rng_state is None else json.dumps(cp.rng_state)
     try:
         with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                generation=np.asarray(cp.generation, dtype=np.int64),
-                state=cp.state,
-                tags=cp.tags,
-                rng_json=np.asarray(rng_json),
-            )
+            for array in (
+                np.asarray(cp.generation, dtype=np.int64),
+                cp.state,
+                cp.tags,
+                np.asarray(rng_json),
+                _meta_check(cp.generation, rng_json),
+            ):
+                np.save(fh, array, allow_pickle=False)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
@@ -96,26 +128,31 @@ def _write_durable(directory: Path, cp: Checkpoint) -> Path:
 
 
 def _read_durable(path: Path) -> Checkpoint:
-    """Load one durable checkpoint; raises :class:`CheckpointError` if torn."""
+    """Load one durable checkpoint; raises :class:`CheckpointError` if torn or rotted."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            rng_json = str(data["rng_json"])
-            cp = Checkpoint(
-                generation=int(data["generation"]),
-                state=np.array(data["state"]),
-                rng_state=json.loads(rng_json) if rng_json else None,
-                tags=np.array(data["tags"]),
+        with open(path, "rb") as fh:
+            generation, state, tags, rng_json, check = (
+                np.load(fh, allow_pickle=False) for _ in range(5)
             )
+        cp = Checkpoint(generation=int(generation), state=state, tags=tags)
+        cp.verify()  # first, so a rotted state or tag names its row
+        rng_text = str(rng_json)
+        if check != _meta_check(cp.generation, rng_text):
+            raise CheckpointError(
+                f"checkpoint {path} fails its generation/RNG-state checksum"
+            )
+        return replace(cp, rng_state=json.loads(rng_text) if rng_text else None)
+    # NumPy parses each record's header as Python literal syntax, so a
+    # rotted header can also raise the parser's own errors.
     except (
         OSError,
         ValueError,
-        KeyError,
-        json.JSONDecodeError,
-        zipfile.BadZipFile,
+        EOFError,
+        TypeError,
+        SyntaxError,
+        tokenize.TokenError,
     ) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    cp.verify()
-    return cp
 
 
 class CheckpointStore:
@@ -185,17 +222,9 @@ class CheckpointStore:
         self.saves += 1
         return cp
 
-    def _durable_paths(self) -> list[Path]:
-        """Durable checkpoint files, oldest first (temp files excluded)."""
-        assert self.directory is not None
-        return sorted(
-            p
-            for p in self.directory.iterdir()
-            if p.name.startswith(_FILE_PREFIX) and p.suffix == ".npz"
-        )
-
     def _prune_durable(self) -> None:
-        for path in self._durable_paths()[: -self.keep]:
+        assert self.directory is not None
+        for path in _checkpoint_files(self.directory)[: -self.keep]:
             path.unlink(missing_ok=True)
 
     def latest(self) -> Checkpoint:
@@ -205,22 +234,29 @@ class CheckpointStore:
         ------
         CheckpointError
             If no checkpoint exists or every retained one fails its own
-            verification (parity mismatch, torn file).
+            verification (parity mismatch, torn file); the message
+            carries each failure, corrupted rows included.
         """
+        failures: list[str] = []
         for cp in reversed(self._ring):
             try:
                 cp.verify()
-            except CheckpointError:
+            except CheckpointError as exc:
+                failures.append(str(exc))
                 continue
             return cp
         if self.directory is not None:
             try:
                 return self.load_latest(self.directory)
-            except CheckpointError:
-                pass
+            except CheckpointError as exc:
+                if not self._ring:
+                    raise
+                failures.append(str(exc))
         if not self._ring:
             raise CheckpointError("no checkpoint to restore from")
-        raise CheckpointError("every retained checkpoint is corrupted")
+        raise CheckpointError(
+            "every retained checkpoint is corrupted: " + "; ".join(failures)
+        )
 
     @classmethod
     def load_latest(cls, directory: str | Path) -> Checkpoint:
@@ -233,25 +269,23 @@ class CheckpointStore:
         Raises
         ------
         CheckpointError
-            When the directory holds no restorable checkpoint.
+            When the directory holds no restorable checkpoint; the
+            message carries why each file was skipped, corrupted rows
+            included.
         """
         directory = Path(directory)
         if not directory.is_dir():
             raise CheckpointError(f"no checkpoint directory {directory}")
-        candidates = sorted(
-            (
-                p
-                for p in directory.iterdir()
-                if p.name.startswith(_FILE_PREFIX) and p.suffix == ".npz"
-            ),
-            reverse=True,
-        )
-        for path in candidates:
+        failures: list[str] = []
+        for path in reversed(_checkpoint_files(directory)):
             try:
                 return _read_durable(path)
-            except CheckpointError:
-                continue
-        raise CheckpointError(f"no restorable checkpoint under {directory}")
+            except CheckpointError as exc:
+                failures.append(str(exc))
+        raise CheckpointError(
+            f"no restorable checkpoint under {directory}"
+            + "".join(f"; {failure}" for failure in failures)
+        )
 
     def restore_rng(self, cp: Checkpoint, rng: np.random.Generator | None) -> None:
         """Rewind ``rng`` to the checkpointed bit-generator state."""

@@ -73,18 +73,28 @@ class Detection:
 
 
 def row_parity_tags(state: np.ndarray) -> np.ndarray:
-    """Per-row integrity tags of a site-state frame.
+    """Per-row integrity tags of a site-state frame or of its bit-planes.
 
-    Tag = exact (uint64) sum of the row's site words — one vectorized
-    pass over the frame, the budget that keeps whole-frame monitoring
-    under the bench's 10% overhead ceiling.  Any change to a single
-    word shifts its row sum by a nonzero delta (site words are < 2^16,
-    the sum cannot wrap), so every single-event corruption is caught
-    and localized to its row; only a multi-word forgery with exactly
-    cancelling deltas in one row aliases, which the single-event fault
-    model excludes.
+    ``state`` is a ``(rows, cols)`` site field or ``(C, rows, W)``
+    packed bit-planes (:func:`repro.lgca.bitplane.pack_state`, the shard
+    checkpoint format).  The tag of a row is the uint64 sum of every
+    word in it — its site bytes, or its plane words across all channels
+    — in one vectorized pass over the frame, the budget that keeps
+    whole-frame monitoring under the bench's 10% overhead ceiling.
+
+    Site bytes are < 2^16, so their row sums never wrap; uint64 plane
+    words do, and the sum is then taken modulo 2^64.  That still
+    catches every single-word change: a word changed from ``a`` to
+    ``b`` shifts the sum by ``b - a``, and since both are in
+    ``[0, 2^64)``, ``0 < |b - a| < 2^64`` is never a multiple of 2^64.
+    So every single-event corruption is caught and localized to its
+    row; only a multi-word forgery with exactly cancelling deltas in
+    one row aliases, which the single-event fault model excludes.
     """
-    return np.asarray(state).sum(axis=1, dtype=np.uint64)
+    state = np.asarray(state)
+    if state.ndim == 3:
+        return state.sum(axis=(0, 2), dtype=np.uint64)
+    return state.sum(axis=1, dtype=np.uint64)
 
 
 class ParityMonitor:

@@ -18,7 +18,7 @@ single-process evolution.
 
 from repro.runtime.breaker import BreakerTransition, CircuitBreaker
 from repro.runtime.modelspec import MODEL_KINDS, ModelSpec
-from repro.runtime.sharding import BOUNDARY_ROWS, Shard, ShardRunner, plan_shards
+from repro.runtime.sharding import Shard, ShardRunner, block_stop, plan_shards
 from repro.runtime.supervisor import (
     REPORT_SCHEMA,
     REPORT_SCHEMA_VERSION,
@@ -30,7 +30,6 @@ from repro.runtime.supervisor import (
 from repro.runtime.worker import InducedFault, WorkerConfig, worker_main
 
 __all__ = [
-    "BOUNDARY_ROWS",
     "BreakerTransition",
     "CircuitBreaker",
     "InducedFault",
@@ -44,6 +43,7 @@ __all__ = [
     "SupervisionReport",
     "SupervisorConfig",
     "WorkerConfig",
+    "block_stop",
     "plan_shards",
     "supervised_run",
     "worker_main",

@@ -10,20 +10,34 @@ The slab geometry itself — :class:`~repro.lattice.slabs.Shard` and
 :func:`~repro.lattice.slabs.plan_shards` — lives in
 :mod:`repro.lattice.slabs`; this module re-exports it and adds the
 process-level :class:`ShardRunner` on top.  See the slab planner's
-docstring for the halo-size invariants (even local start row, even
-local frame) and why refreshing two boundary rows per side per
-generation makes the slab interiors evolve bit-identically to the
-whole-lattice run.
+docstring for the halo-size invariants (halos at least ``k`` deep, even
+local start row, even local frame) and why refreshing the halos once
+per block of up to ``k`` generations makes the slab interiors evolve
+bit-identically to the whole-lattice run.
+
+A shard steps in *blocks*, as the paper's WSA advances P generations
+per pass through its P pipelined PEs and each SPA slice runs P_k
+generations between side-channel exchanges.  :func:`block_stop` is the
+one definition of a block: from generation ``t`` to the earliest of
+``t + k``, the next checkpoint generation and the target.  The worker,
+the supervisor's barrier and the tests all call it, so they agree on
+every block boundary.  Per block, neighbours exchange ``k + 1``
+boundary rows per side and each shard calls :meth:`ShardRunner.advance`
+once.
 
 A runner's kernel stepper holds its local frame for the whole run (the
 bitplane stepper keeps it packed), as the paper's pipelines keep the
 lattice on chip and CAM-8's modules exchange only boundary sites.  Per
-generation a shard converts only its halo and boundary rows; the whole
-slab is converted only when it is written at construction and read for
-a checkpoint or the final collect.  Halos cross between processes as
-``uint8`` site rows, not packed words, so neighbouring shards may run
-different backends (the circuit breaker respawns a failing worker on
-its fallback backend next to unchanged neighbours).
+block a shard converts only its halo and boundary rows.  A checkpoint
+stores the owned slab as packed bit-planes
+(:meth:`ShardRunner.packed_interior`): the bitplane stepper copies its
+plane rows and the reference stepper packs its sites, so both backends
+write, and restore from (:func:`load_slab`), one format.  The whole
+slab is unpacked only at a restore and at the final collect.  Halos
+cross between processes as ``uint8`` site rows, not packed words, so
+neighbouring shards may run different backends (the circuit breaker
+respawns a failing worker on its fallback backend next to unchanged
+neighbours).
 
 Bit-identity at *this* layer holds for deterministic chirality policies
 only (``alternate``/``left``/``right``); per-site ``random`` chirality
@@ -34,15 +48,72 @@ config validation.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from repro.lattice.slabs import BOUNDARY_ROWS, Shard, plan_shards
+from repro.lattice.slabs import Shard, plan_shards
 from repro.lgca.automaton import ObstacleMap
 from repro.lgca.backends import make_stepper
+from repro.lgca.bitplane import unpack_state
+from repro.resilience.checkpoint import CheckpointStore
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
 
-__all__ = ["BOUNDARY_ROWS", "Shard", "ShardRunner", "plan_shards"]
+__all__ = [
+    "Shard",
+    "ShardRunner",
+    "block_stop",
+    "load_slab",
+    "local_obstacles",
+    "plan_shards",
+]
+
+
+def block_stop(start: int, depth: int, target: int, checkpoint_interval: int) -> int:
+    """End (exclusive) of the block of generations that starts at ``start``.
+
+    A block runs at most ``depth`` generations, never past the next
+    checkpoint generation (a multiple of ``checkpoint_interval``), and
+    never past ``target``.  Every checkpoint generation is therefore a
+    block start, which is what lets a restarted worker replay whole
+    blocks from its checkpoint.
+    """
+    next_checkpoint = (start // checkpoint_interval + 1) * checkpoint_interval
+    return min(start + depth, next_checkpoint, target)
+
+
+def local_obstacles(mask: np.ndarray, shard: Shard, periodic: bool) -> np.ndarray:
+    """The local frame's rows of a whole-lattice obstacle ``mask``.
+
+    Halo rows wrap on a periodic lattice.  Past a null edge they carry
+    no obstacles: a particle that leaves the lattice must not bounce
+    back off a wrapped one during a block.
+    """
+    rows = mask.shape[0]
+    local = mask[shard.local_row_indices(rows)]  # a fresh, contiguous array
+    if not periodic:
+        above = max(0, shard.halo_top - shard.row_start)  # frame rows above row 0
+        below = max(0, shard.row_stop + shard.halo_bottom - rows)  # and past the last
+        local[:above] = False
+        local[shard.local_rows - below :] = False
+    return local
+
+
+def load_slab(directory: str | Path, cols: int) -> tuple[int, np.ndarray]:
+    """``(generation, slab)`` of the newest intact shard checkpoint.
+
+    Shard checkpoints hold packed bit-planes (see
+    :meth:`ShardRunner.packed_interior`); the slab comes back unpacked
+    as ``uint8`` site rows, whichever backend wrote it.
+
+    Raises
+    ------
+    CheckpointError
+        When ``directory`` holds no restorable checkpoint.
+    """
+    cp = CheckpointStore.load_latest(directory)
+    return cp.generation, unpack_state(cp.state, cols)
 
 
 class ShardRunner:
@@ -51,7 +122,7 @@ class ShardRunner:
     Pure in-process logic (no pipes, no processes) so the sharded
     evolution is testable — and benchmarkable — without a supervisor.
     The kernel stepper holds the local frame for the whole run: the
-    slab is written into it once, at construction, and each generation
+    slab is written into it once, at construction, and each block
     writes only the halo rows and reads only the boundary rows.
 
     Parameters
@@ -66,15 +137,17 @@ class ShardRunner:
     backend:
         Kernel backend name (``"reference"`` / ``"bitplane"``).
     obstacles_mask:
-        Optional local-frame boolean mask (halos included), pre-sliced
-        from the global mask with :meth:`Shard.local_row_indices`.
+        Optional local-frame boolean mask (halos included), sliced from
+        the global mask with :func:`local_obstacles`.
     time:
         Generation the initial slab belongs to.
     recorder:
         Optional telemetry recorder; the runner pre-binds
-        ``shard.halo_seconds`` / ``shard.step_seconds`` timers and a
-        ``shard.generations`` counter, and forwards the recorder to the
-        kernel stepper for ``kernel.<backend>.*`` attribution.
+        ``shard.halo_seconds`` / ``shard.step_seconds`` timers (one
+        sample per :meth:`set_halos` / :meth:`advance` call, so one per
+        block) and a ``shard.generations`` counter, and forwards the
+        recorder to the kernel stepper for ``kernel.<backend>.*``
+        attribution.
     """
 
     def __init__(
@@ -109,9 +182,9 @@ class ShardRunner:
             model, obstacles=obstacles, backend=backend, recorder=recorder
         )
         self._stepper.write(shard.interior, initial_slab)
-        self._zeros = np.zeros((BOUNDARY_ROWS, cols), dtype=np.uint8)
+        self._zeros = np.zeros((shard.exchange_rows, cols), dtype=np.uint8)
         # Pre-bound handles (see OBSERVABILITY.md): free under the null
-        # recorder, allocation-free per generation under a real one.
+        # recorder, allocation-free per block under a real one.
         self._clock = rec.clock
         self._halo_timer = rec.timer("shard.halo_seconds")
         self._step_timer = rec.timer("shard.step_seconds")
@@ -122,16 +195,26 @@ class ShardRunner:
         """The owned slab's current state (a fresh array)."""
         return self._stepper.read(self.shard.interior)
 
+    def packed_interior(self) -> np.ndarray:
+        """The owned slab as ``(C, slab_rows, W)`` bit-planes (a fresh array).
+
+        The shard checkpoint format, the same on every backend; undo it
+        with :func:`~repro.lgca.bitplane.unpack_state` (or
+        :func:`load_slab`).
+        """
+        return self._stepper.read_planes(self.shard.interior)
+
     def boundary_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(top, bottom)`` — the slab's outermost rows for neighbours.
 
-        Always :data:`BOUNDARY_ROWS` rows each (fresh arrays); receivers
-        slice off the halo depth they need.
+        Always ``shard.exchange_rows`` (``k + 1``) rows each (fresh
+        arrays); receivers slice off the halo depth they need.
         """
         interior = self.shard.interior
+        n = self.shard.exchange_rows
         return (
-            self._stepper.read(slice(interior.start, interior.start + BOUNDARY_ROWS)),
-            self._stepper.read(slice(interior.stop - BOUNDARY_ROWS, interior.stop)),
+            self._stepper.read(slice(interior.start, interior.start + n)),
+            self._stepper.read(slice(interior.stop - n, interior.stop)),
         )
 
     def set_halos(
@@ -141,27 +224,40 @@ class ShardRunner:
     ) -> None:
         """Refresh the halo rows from the neighbours' boundary rows.
 
-        ``above_bottom`` is the *bottom* boundary pair of the shard
-        above (its last two rows); ``below_top`` the *top* pair of the
-        shard below.  ``None`` zero-fills the halo — the null-boundary
-        lattice edge, where nothing flows in.
+        ``above_bottom`` is the *bottom* boundary block of the shard
+        above (its last ``k + 1`` rows); ``below_top`` the *top* block
+        of the shard below.  ``None`` zero-fills the halo — the
+        null-boundary lattice edge, where nothing flows in.
         """
         start = self._clock()
         shard = self.shard
         above = self._zeros if above_bottom is None else above_bottom
         below = self._zeros if below_top is None else below_top
         self._stepper.write(
-            slice(0, shard.halo_top), above[BOUNDARY_ROWS - shard.halo_top :]
+            slice(0, shard.halo_top), above[shard.exchange_rows - shard.halo_top :]
         )
         self._stepper.write(
             slice(shard.interior.stop, None), below[: shard.halo_bottom]
         )
         self._halo_timer.record(self._clock() - start)
 
+    def advance(self, generations: int) -> None:
+        """Advance the local frame one block of ``generations``.
+
+        The halos must be fresh and ``generations`` at most
+        ``shard.depth``; :func:`block_stop` picks the block.
+        """
+        if not 0 < generations <= self.shard.depth:
+            raise ValueError(
+                f"a block of {generations} generations needs halos that deep; "
+                f"shard {self.shard.index}'s are {self.shard.depth}"
+            )
+        start = self._clock()
+        self._stepper.advance(generations, self.time)
+        self.time += generations
+        self._step_timer.record(self._clock() - start)
+        self._generations.add(generations)
+
     def step(self) -> None:
         """Advance the local frame one generation (halos must be fresh)."""
-        start = self._clock()
-        self._stepper.advance(1, self.time)
-        self.time += 1
-        self._step_timer.record(self._clock() - start)
-        self._generations.add(1)
+        self.advance(1)

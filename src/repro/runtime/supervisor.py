@@ -5,20 +5,23 @@
 and babysits them the way the in-process resilience layer babysits a
 single evolution:
 
-* a **lock-step barrier** — every generation, each worker publishes its
-  two boundary rows; once all live workers have published generation
-  ``g``, the supervisor routes each worker its neighbours' rows and the
-  workers step.  The supervisor keeps a bounded *halo history* of these
-  exchanges;
+* a **block barrier** — at the start of every block of up to ``k``
+  generations (:func:`~repro.runtime.sharding.block_stop`), each worker
+  publishes its ``k + 1`` boundary rows per side; once all live workers
+  have published block ``g``, the supervisor routes each worker its
+  neighbours' rows and the workers step the whole block.  The
+  supervisor keeps a bounded *halo history* of these exchanges, one
+  entry per block;
 * a **watchdog** — a worker that owes the barrier a message and has
   been silent past ``watchdog_timeout`` is presumed hung and killed;
 * **checkpoint-restart** — dead or killed workers are respawned under a
   capped exponential-backoff-with-jitter policy
   (:class:`repro.util.backoff.BackoffPolicy`); the new incarnation
   restores the newest intact durable checkpoint
-  (:class:`~repro.resilience.checkpoint.CheckpointStore`) and the
-  supervisor replays the halo history to catch it up to the barrier —
-  so a restarted run is **bit-identical** to an undisturbed one;
+  (:class:`~repro.resilience.checkpoint.CheckpointStore`, packed
+  bit-planes on every backend) and the supervisor replays the halo
+  history, block by block, to catch it up to the barrier — so a
+  restarted run is **bit-identical** to an undisturbed one;
 * a per-primary-backend **circuit breaker**
   (:class:`~repro.runtime.breaker.CircuitBreaker`) — repeated failures
   attributed to the primary kernel backend reroute respawns to the
@@ -55,10 +58,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.lgca.backends import stepper_class
-from repro.resilience.checkpoint import CheckpointStore
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.modelspec import ModelSpec
-from repro.runtime.sharding import Shard, plan_shards
+from repro.runtime.sharding import (
+    Shard,
+    block_stop,
+    load_slab,
+    local_obstacles,
+    plan_shards,
+)
 from repro.runtime.worker import InducedFault, WorkerConfig, worker_main
 from repro.telemetry import (
     MONOTONIC,
@@ -375,12 +383,14 @@ class _Supervision:
             )
         self.initial = np.ascontiguousarray(init, dtype=np.uint8)
         self.handles = [_Handle(s, config.backend) for s in self.shards]
-        # Halo history: generation -> worker -> (top, bottom) boundary rows.
+        # Halo history: block start -> worker -> (top, bottom) boundary rows.
         self.boundaries: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
         self.last_boundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for h in self.handles:
             slab = self.initial[h.shard.row_start : h.shard.row_stop]
-            self.last_boundary[h.index] = (slab[:2].copy(), slab[-2:].copy())
+            n = h.shard.exchange_rows
+            self.last_boundary[h.index] = (slab[:n].copy(), slab[-n:].copy())
+        # The next block start: every live worker's next boundary is owed.
         self.barrier = 0
         self.window = 2 * config.checkpoint_interval + 4
         self.total_restarts = 0
@@ -412,8 +422,16 @@ class _Supervision:
     def _local_obstacles(self, shard: Shard) -> np.ndarray | None:
         if self.config.obstacles is None:
             return None
-        return np.ascontiguousarray(
-            self.config.obstacles[shard.local_row_indices(self.spec.rows)]
+        return local_obstacles(
+            self.config.obstacles, shard, self.spec.boundary == "periodic"
+        )
+
+    def _block_stop(self, start: int) -> int:
+        return block_stop(
+            start,
+            self.shards[0].depth,
+            self.config.generations,
+            self.config.checkpoint_interval,
         )
 
     def _spawn(self, h: _Handle, first: bool) -> None:
@@ -548,10 +566,9 @@ class _Supervision:
     def _checkpointed_slab(self, h: _Handle) -> tuple[int, np.ndarray]:
         """Best recoverable state for a dead shard: checkpoint or t=0."""
         try:
-            cp = CheckpointStore.load_latest(self._worker_dir(h.index))
+            return load_slab(self._worker_dir(h.index), self.spec.cols)
         except CheckpointError:
             return 0, self.initial[h.shard.row_start : h.shard.row_stop].copy()
-        return cp.generation, cp.state
 
     # -- halo routing --------------------------------------------------
 
@@ -593,7 +610,7 @@ class _Supervision:
                     h.okay_since = self.clock()
                 except OSError:
                     self._fail(h, "pipe closed while sending halo")
-            self.barrier = g + 1
+            self.barrier = self._block_stop(g)
             for old in [gg for gg in self.boundaries if gg < self.barrier - self.window]:
                 del self.boundaries[old]
 
@@ -619,10 +636,13 @@ class _Supervision:
                     h, f"checkpoint at generation {restored} predates halo history"
                 )
                 return
-            bundle = [
-                (g, *self._halo_for(h.index, g))
-                for g in range(restored, self.barrier)
-            ]
+            # Checkpoints fall on block ends, so ``restored`` is a block
+            # start and the replay covers whole blocks.
+            bundle = []
+            g = restored
+            while g < self.barrier:
+                bundle.append((g, *self._halo_for(h.index, g)))
+                g = self._block_stop(g)
             try:
                 h.conn.send(("replay", bundle))
             except OSError:

@@ -1,26 +1,37 @@
 """The shard worker process: step, checkpoint, exchange halos, obey.
 
 One worker owns one row slab (:class:`~repro.runtime.sharding.Shard`)
-and talks to the supervisor over a duplex pipe in strict lock-step:
+and talks to the supervisor over a duplex pipe.  It steps in blocks of
+up to ``k`` generations (:func:`~repro.runtime.sharding.block_stop`)
+and exchanges halos once per block:
 
 =================================== =====================================
 worker sends                        supervisor replies
 =================================== =====================================
 ``("ready", incarnation, gen,       ``("replay", [(g, above, below)...])``
-``clock)``
+``clock)``                          (one entry per block start ``g``)
 ``("boundary", g, top, bottom)``    ``("halo", g, above, below)``
+(once per block, at its start ``g``)
 ``("checkpoint", g)``               —  (accounting only)
 ``("done", g)``                     ``("collect",)``
 ``("state", g, slab)``              ``("stop",)``
 ``("error", g, message)``           —  (the worker exits)
 =================================== =====================================
 
-Every incarnation checkpoints its slab crash-safely
-(:class:`~repro.resilience.checkpoint.CheckpointStore` with a
-directory); a restarted incarnation finds no ``initial_slab`` in its
-config, restores the newest intact checkpoint, announces the restored
-generation in ``ready``, and the supervisor replays the buffered halo
-history to catch it up to the barrier — bit-identically, because the
+``top`` and ``bottom`` are the slab's outermost ``k + 1`` rows; the
+worker then sets its halos and advances the whole block with one
+:meth:`~repro.runtime.sharding.ShardRunner.advance` call.
+
+Every incarnation checkpoints its slab crash-safely, as packed
+bit-planes (:class:`~repro.resilience.checkpoint.CheckpointStore` with
+a directory), at every multiple of the checkpoint interval — always a
+block end, because blocks stop there.  The write is synchronous and
+durable before the ``checkpoint`` notice goes out.  A restarted
+incarnation finds no ``initial_slab`` in its config, restores the
+newest intact checkpoint (:func:`~repro.runtime.sharding.load_slab`,
+whichever backend wrote it), announces the restored generation in
+``ready``, and the supervisor replays the buffered halo history block
+by block to catch it up to the barrier — bit-identically, because the
 kernels are deterministic and the halos are the exact rows the dead
 incarnation saw.
 
@@ -39,9 +50,9 @@ loses in lattice state.
 
 :class:`InducedFault` is the runtime's chaos hook (the process-level
 sibling of :class:`repro.resilience.faults.FaultSpec`): a configured
-worker kills itself, stalls, or raises at an exact generation, so tests
-and the CI smoke job exercise real worker death instead of simulated
-corruption.
+worker kills itself, stalls, or raises at the start of the block that
+contains a given generation, so tests and the CI smoke job exercise
+real worker death instead of simulated corruption.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ import numpy as np
 
 from repro.resilience.checkpoint import CheckpointStore
 from repro.runtime.modelspec import ModelSpec
-from repro.runtime.sharding import Shard, ShardRunner
+from repro.runtime.sharding import Shard, ShardRunner, block_stop, load_slab
 from repro.telemetry import (
     MONOTONIC,
     NULL_RECORDER,
@@ -83,8 +94,11 @@ class InducedFault:
     worker:
         Target worker index.
     generation:
-        Fires when the worker is about to publish its boundary rows for
-        this generation.
+        Fires at the start of the block that contains this generation,
+        when the worker is about to publish that block's boundary rows.
+        So a fault at generation 12 with blocks of 8 fires at 8: the
+        worker dies with generations 8-11 unstepped, and a checkpoint
+        interval of 16 makes its successor replay block ``[0, 8)``.
     kind:
         ``"crash"`` (hard ``os._exit`` — models OOM-kill / segfault),
         ``"stall"`` (sleep ``seconds`` — models a hang; the watchdog
@@ -118,11 +132,13 @@ class InducedFault:
         check_positive(self.incarnations, "incarnations", integer=True)
         check_positive(self.seconds, "seconds")
 
-    def armed(self, worker: int, generation: int, incarnation: int, backend: str) -> bool:
-        """Whether this fault fires for the given worker state."""
+    def armed(
+        self, worker: int, start: int, stop: int, incarnation: int, backend: str
+    ) -> bool:
+        """Whether this fault fires for the block ``[start, stop)``."""
         return (
             self.worker == worker
-            and self.generation == generation
+            and start <= self.generation < stop
             and incarnation < self.incarnations
             and (self.backend is None or self.backend == backend)
         )
@@ -164,10 +180,12 @@ class WorkerConfig:
     spool_path: str | None = None
 
 
-def _fire_induced(config: WorkerConfig, generation: int) -> None:
-    """Inflict any armed induced fault for ``generation`` on ourselves."""
+def _fire_induced(config: WorkerConfig, start: int, stop: int) -> None:
+    """Inflict any fault armed for the block ``[start, stop)`` on ourselves."""
     for fault in config.induced:
-        if not fault.armed(config.worker, generation, config.incarnation, config.backend):
+        if not fault.armed(
+            config.worker, start, stop, config.incarnation, config.backend
+        ):
             continue
         if fault.kind == "crash":
             os._exit(EXIT_INDUCED_CRASH)
@@ -176,7 +194,7 @@ def _fire_induced(config: WorkerConfig, generation: int) -> None:
         elif fault.kind == "backend-error":
             raise RuntimeError(
                 f"induced backend error on {config.backend!r} "
-                f"(worker {config.worker}, generation {generation})"
+                f"(worker {config.worker}, block {start}-{stop})"
             )
 
 
@@ -206,7 +224,7 @@ def _checkpoint(
     recorder: Recorder,
     spool: SpoolWriter | None,
 ) -> None:
-    store.save(runner.time, runner.interior)
+    store.save(runner.time, runner.packed_interior())
     _spool_snapshot(spool, recorder, status="checkpoint", generation=runner.time)
     conn.send(("checkpoint", runner.time))
 
@@ -219,7 +237,20 @@ def _advance_to_target(
     recorder: Recorder,
     spool: SpoolWriter | None,
 ) -> bool:
-    """Replay buffered halos, then step to the target; False on early stop."""
+    """Replay buffered halo blocks, then step to the target; False on early stop."""
+    target = config.target_generation
+
+    def block_end() -> int:
+        return block_stop(
+            runner.time, runner.shard.depth, target, config.checkpoint_interval
+        )
+
+    def step_block(stop: int, above: np.ndarray | None, below: np.ndarray | None) -> None:
+        runner.set_halos(above, below)
+        runner.advance(stop - runner.time)
+        if store.due(runner.time):
+            _checkpoint(store, runner, conn, recorder, spool)
+
     msg = conn.recv()
     if msg[0] == "stop":
         return False
@@ -228,25 +259,19 @@ def _advance_to_target(
         with recorder.span("worker.replay", generation=runner.time):
             for generation, above, below in msg[1]:
                 assert generation == runner.time, (generation, runner.time)
-                runner.set_halos(above, below)
-                runner.step()
-                if store.due(runner.time):
-                    _checkpoint(store, runner, conn, recorder, spool)
+                step_block(block_end(), above, below)
 
     with recorder.span("worker.run", generation=runner.time):
-        while runner.time < config.target_generation:
-            generation = runner.time
-            _fire_induced(config, generation)
+        while runner.time < target:
+            generation, stop = runner.time, block_end()
+            _fire_induced(config, generation, stop)
             top, bottom = runner.boundary_rows()
             conn.send(("boundary", generation, top, bottom))
             msg = conn.recv()
             if msg[0] == "stop":
                 return False
             assert msg[0] == "halo" and msg[1] == generation, msg[:2]
-            runner.set_halos(msg[2], msg[3])
-            runner.step()
-            if store.due(runner.time):
-                _checkpoint(store, runner, conn, recorder, spool)
+            step_block(stop, msg[2], msg[3])
     return True
 
 
@@ -265,26 +290,18 @@ def _worker_loop(
     )
     restored = config.initial_slab is None
     if restored:
-        cp = CheckpointStore.load_latest(config.checkpoint_dir)
-        runner = ShardRunner(
-            model,
-            shard,
-            cp.state,
-            backend=config.backend,
-            obstacles_mask=config.obstacles_mask,
-            time=cp.generation,
-            recorder=recorder,
-        )
+        generation, slab = load_slab(config.checkpoint_dir, config.spec.cols)
     else:
-        runner = ShardRunner(
-            model,
-            shard,
-            config.initial_slab,
-            backend=config.backend,
-            obstacles_mask=config.obstacles_mask,
-            time=0,
-            recorder=recorder,
-        )
+        generation, slab = 0, config.initial_slab
+    runner = ShardRunner(
+        model,
+        shard,
+        slab,
+        backend=config.backend,
+        obstacles_mask=config.obstacles_mask,
+        time=generation,
+        recorder=recorder,
+    )
     if spool is not None:
         spool.open_frame(
             worker=config.worker,

@@ -7,8 +7,11 @@ including through the RNG state of random-chirality models.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lgca.automaton import LatticeGasAutomaton
+from repro.lgca.bitplane import pack_state
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
 from repro.resilience.checkpoint import Checkpoint, CheckpointStore
@@ -102,7 +105,7 @@ class TestDurableStore:
         for g in range(5):
             store.save(g, np.full((2, 2), g, dtype=np.uint8))
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["ckpt-000000000003.npz", "ckpt-000000000004.npz"]
+        assert names == ["ckpt-000000000003.ckpt", "ckpt-000000000004.ckpt"]
 
     def test_torn_newest_falls_back_to_older(self, tmp_path):
         store = CheckpointStore(keep=3, directory=tmp_path)
@@ -117,7 +120,7 @@ class TestDurableStore:
     def test_leftover_temp_files_are_ignored(self, tmp_path):
         store = CheckpointStore(directory=tmp_path)
         store.save(2, np.ones((2, 2), dtype=np.uint8))
-        (tmp_path / ".tmp-ckpt-000000000009.npz.123").write_bytes(b"garbage")
+        (tmp_path / ".tmp-ckpt-000000000009.ckpt.123").write_bytes(b"garbage")
         assert CheckpointStore.load_latest(tmp_path).generation == 2
 
     def test_empty_directory_raises(self, tmp_path):
@@ -147,6 +150,104 @@ class TestDurableStore:
         cp.state[2, 1] ^= 1
         with pytest.raises(CheckpointError):
             cp.verify()
+
+
+#: A packed shard checkpoint: 7 channel planes of 5 rows x 2 words.
+PACKED_SHAPE = (7, 5, 2)
+
+
+def _packed_state() -> np.ndarray:
+    sites = np.random.default_rng(5).integers(0, 128, (5, 70), dtype=np.uint8)
+    planes = pack_state(sites, 7)
+    assert planes.shape == PACKED_SHAPE
+    return planes
+
+
+def _array_data_offset(fh) -> tuple[int, int]:
+    """Read one ``.npy`` record's header: its data's offset and size in ``fh``."""
+    fmt = np.lib.format
+    version = fmt.read_magic(fh)
+    read_header = (
+        fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+    )
+    shape, _, dtype = read_header(fh)
+    return fh.tell(), int(np.prod(shape)) * dtype.itemsize
+
+
+#: One bit anywhere in the packed planes: (channel, row, word, bit).
+packed_bits = st.tuples(
+    st.integers(0, PACKED_SHAPE[0] - 1),
+    st.integers(0, PACKED_SHAPE[1] - 1),
+    st.integers(0, PACKED_SHAPE[2] - 1),
+    st.integers(0, 63),
+)
+
+
+class TestPackedCheckpointIntegrity:
+    """A flipped bit in a packed checkpoint is caught and its row named.
+
+    Plane words are uint64, so the row tags' sums wrap; a single-word
+    change still shifts them by a nonzero amount modulo 2**64.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(bit=packed_bits, in_tags=st.booleans())
+    def test_bit_flip_on_disk_names_the_row(self, tmp_path_factory, bit, in_tags):
+        directory = tmp_path_factory.mktemp("ckpt")
+        CheckpointStore(directory=directory).save(8, _packed_state())
+        [path] = directory.iterdir()
+        channel, row, word, b = bit
+        with open(path, "rb") as fh:
+            for _ in range(2):  # the generation record, then the state's
+                offset, nbytes = _array_data_offset(fh)
+                fh.seek(offset + nbytes)
+            if in_tags:
+                offset, _ = _array_data_offset(fh)
+                byte = offset + row * 8 + b // 8
+            else:
+                byte = offset + (
+                    ((channel * PACKED_SHAPE[1] + row) * PACKED_SHAPE[2] + word) * 8
+                    + b // 8
+                )
+        raw = bytearray(path.read_bytes())
+        raw[byte] ^= 1 << (b % 8)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=rf"corrupted in rows \[{row}\]"):
+            CheckpointStore.load_latest(directory)
+        with pytest.raises(CheckpointError, match=rf"corrupted in rows \[{row}\]"):
+            CheckpointStore(directory=directory).latest()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bit_flip_anywhere_in_the_file_never_restores_wrong_data(
+        self, tmp_path_factory, data
+    ):
+        """Headers, generation and RNG state included: fail or restore exactly."""
+        directory = tmp_path_factory.mktemp("ckpt")
+        rng = np.random.default_rng(3)
+        original = CheckpointStore(directory=directory).save(8, _packed_state(), rng)
+        [path] = directory.iterdir()
+        raw = bytearray(path.read_bytes())
+        byte = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        raw[byte] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        path.write_bytes(bytes(raw))
+        try:
+            cp = CheckpointStore.load_latest(directory)
+        except CheckpointError:
+            return
+        assert cp.generation == original.generation
+        np.testing.assert_array_equal(cp.state, original.state)
+        assert cp.rng_state == original.rng_state
+
+    @settings(max_examples=60, deadline=None)
+    @given(bit=packed_bits)
+    def test_bit_flip_in_the_ring_names_the_row(self, bit):
+        store = CheckpointStore()
+        cp = store.save(8, _packed_state())
+        channel, row, word, b = bit
+        cp.state[channel, row, word] ^= np.uint64(1) << np.uint64(b)
+        with pytest.raises(CheckpointError, match=rf"corrupted in rows \[{row}\]"):
+            store.latest()
 
 
 class TestRestartBitIdentical:

@@ -18,7 +18,7 @@ from repro.runtime import (
     SupervisorConfig,
     supervised_run,
 )
-from repro.telemetry import StepClock
+from repro.telemetry import InMemoryRecorder, StepClock
 from repro.util.backoff import BackoffPolicy
 from repro.util.errors import ConfigError
 
@@ -106,6 +106,37 @@ class TestCheckpointRestart:
         assert report.restarts[0].worker == 0
         assert "died" in report.restarts[0].reason
         assert np.array_equal(state, golden)
+
+    def test_restart_replays_a_buffered_block(self, spec):
+        """A fault fires at the start of the block holding its generation.
+
+        With 12-row slabs a block is 8 generations, and with checkpoints
+        every 16 the only checkpoint before the kill is generation 0.  A
+        kill at generation 12 fires at block start 8, so the restarted
+        worker restores generation 0, replays block [0, 8) from the
+        supervisor's halo history, then rejoins the barrier at 8.
+        """
+        generations = 20
+        auto = LatticeGasAutomaton(spec.build(), spec.initial_state(0.3, 42))
+        auto.run(generations)
+        recorder = InMemoryRecorder()
+        state, report = supervised_run(
+            config(
+                spec,
+                generations=generations,
+                checkpoint_interval=16,
+                induced=(InducedFault(worker=0, generation=12, kind="crash"),),
+            ),
+            recorder=recorder,
+        )
+        assert report.outcome == "complete"
+        [restart] = report.restarts
+        assert restart.worker == 0 and restart.generation == 8
+        replays = [s for s in report.telemetry.spans if s["name"] == "worker.replay"]
+        assert [(s["process"], s["generation"]) for s in replays] == [
+            ("worker-0.1", 0)
+        ]
+        assert np.array_equal(state, auto.state)
 
     def test_both_workers_killed_at_different_gens(self, spec, golden):
         state, report = supervised_run(
@@ -292,7 +323,7 @@ class TestDurableCheckpointDir:
         assert report.outcome == "complete"
         worker_dirs = sorted(p.name for p in tmp_path.iterdir())
         assert worker_dirs == ["worker-00", "worker-01"]
-        assert any((tmp_path / "worker-00").glob("ckpt-*.npz"))
+        assert any((tmp_path / "worker-00").glob("ckpt-*.ckpt"))
 
     def test_checkpoint_saves_are_counted(self, spec):
         _, report = supervised_run(config(spec))
