@@ -15,8 +15,8 @@ is ``LatticeGasAutomaton(...)`` construction (model and stepper build)
 and its steady state is ``auto.run``.  The supervised arm's steady
 state is the workers' ``worker.run`` spans, from the first start to the
 last end, taken from the run's merged telemetry; its setup is the rest
-of ``supervised_run`` (process spawn, local model builds, the initial
-checkpoint, collect and shutdown).  Setup dominates the totals at
+of ``supervised_run`` (process spawn, local model builds, collect and
+shutdown).  Setup dominates the totals at
 benchmark sizes, so the gated number is the *steady-state* tax.
 
 Run directly::
@@ -95,8 +95,9 @@ def run_pair(
         backend=backend,
         seed=seed,
         initial_state=init,
-        # Checkpoint once (generation 0, before the steady state); the
-        # tax measured here is the barrier + halo IPC, not checkpoint I/O.
+        # No checkpoint falls inside the run (the first would be at
+        # generations + 1); the tax measured here is the barrier + halo
+        # IPC, not checkpoint I/O.
         checkpoint_interval=generations + 1,
         watchdog_timeout=120.0,
     )

@@ -98,7 +98,7 @@ def _header_parts(
         return [], [e for e in (stmt.test, stmt.msg) if e]
     if isinstance(stmt, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [], []
-    # Fallback for simple statements (Delete, Global, Pass, ...).
+    # Any other simple statement (Delete, Global, Pass, ...).
     return [], [n for n in ast.iter_child_nodes(stmt) if isinstance(n, ast.expr)]
 
 

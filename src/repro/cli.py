@@ -679,9 +679,9 @@ def _parse_induce(token: str):
     """Parse an ``--induce`` spec: ``KIND:WORKER@GEN[:key=value...]``.
 
     ``KIND`` is ``kill`` (alias ``crash``), ``stall``, or
-    ``backend-error``; optional ``key=value`` suffixes are ``backend=``
-    (only fire on that backend), ``lives=`` (fire for the first N
-    incarnations), and ``seconds=`` (stall duration).
+    ``backend-error``; optional ``key=value`` suffixes are ``lives=``
+    (fire for the first N incarnations) and ``seconds=`` (stall
+    duration).
     """
     from repro.runtime import InducedFault
     from repro.util.errors import ConfigError
@@ -696,9 +696,7 @@ def _parse_induce(token: str):
     extras: dict[str, object] = {}
     for part in parts[2:]:
         key, _, value = part.partition("=")
-        if key == "backend":
-            extras["backend"] = value
-        elif key == "lives":
+        if key == "lives":
             extras["incarnations"] = int(value)
         elif key == "seconds":
             extras["seconds"] = float(value)
@@ -716,13 +714,10 @@ def _parse_induce(token: str):
 #: by argparse dest.
 _SUPERVISOR_KEYWORDS = {
     "workers": "num_workers",
-    "fallback_backend": "fallback_backend",
     "checkpoint_dir": "checkpoint_dir",
     "checkpoint_interval": "checkpoint_interval",
     "watchdog_timeout": "watchdog_timeout",
     "max_restarts": "max_total_restarts",
-    "breaker_threshold": "breaker_threshold",
-    "breaker_cooldown": "breaker_cooldown",
     "deadline": "deadline_seconds",
     "allow_degraded": "allow_degraded",
 }
@@ -817,14 +812,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     table.add_row("grid", f"{args.rows} x {args.cols} ({args.boundary})")
     table.add_row("generations", f"{report.generations_completed}/{report.generations}")
     table.add_row("workers", report.num_workers)
-    table.add_row("backend", f"{args.backend} (fallback: {report.fallback_backend})")
+    table.add_row("backend", report.backend)
     table.add_row("outcome", report.outcome)
     table.add_row("reason", report.reason)
     table.add_row("restarts", len(report.restarts))
     table.add_row("watchdog kills", report.watchdog_kills)
-    if report.breaker is not None:
-        trips = len(report.breaker["transitions"])  # type: ignore[arg-type]
-        table.add_row("breaker", f"{report.breaker['state']} ({trips} transition(s))")
     if report.degraded_shards:
         table.add_row(
             "degraded shards",
@@ -841,8 +833,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for event in report.restarts:
         print(
             f"restart: worker {event.worker} incarnation {event.incarnation} "
-            f"at generation {event.generation} after {event.delay:.2f}s "
-            f"on {event.backend!r}: {event.reason}"
+            f"at generation {event.generation} after {event.delay:.2f}s: "
+            f"{event.reason}"
         )
     return exit_code
 
@@ -1086,11 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
         "supervision (requires --supervised)", argument_default=argparse.SUPPRESS
     )
     g.add_argument("--workers", type=int, help="worker process count")
-    g.add_argument(
-        "--fallback-backend",
-        choices=("reference", "bitplane"),
-        help="backend the circuit breaker falls back to",
-    )
     g.add_argument("--checkpoint-interval", type=int)
     g.add_argument(
         "--checkpoint-dir",
@@ -1112,8 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "--max-restarts", type=int, help="total restart budget across all workers"
     )
-    g.add_argument("--breaker-threshold", type=int)
-    g.add_argument("--breaker-cooldown", type=float)
     g.add_argument(
         "--deadline", type=float, help="wall-clock budget in seconds for the whole run"
     )
@@ -1128,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="SPEC",
         help="induce a worker fault for testing: KIND:WORKER@GEN"
-        "[:backend=B][:lives=N][:seconds=S], KIND in kill|stall|backend-error; "
+        "[:lives=N][:seconds=S], KIND in kill|stall|backend-error; "
         "it fires at the start of the block of generations holding GEN",
     )
     g.add_argument(

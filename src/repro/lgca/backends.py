@@ -21,8 +21,9 @@ through one contract: :meth:`~KernelStepper.write` site rows in,
 rows out.  The stepper keeps its lattice in its own storage format
 between calls (the bitplane stepper keeps it packed), so a shard
 converts only the rows it exchanges.  ``read`` returns a fresh array,
-``read_planes`` the same rows packed (the shard checkpoint format), and
-``advance`` allocates nothing.
+``read_planes`` the same rows packed and ``write_planes`` stores packed
+rows (the one format of shard halos and checkpoints), and ``advance``
+allocates nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.lgca.bitplane import BitplaneKernel, pack_state
+from repro.lgca.bitplane import BitplaneKernel, num_words, pack_state, unpack_state
 from repro.lgca.bits import bounce_back_table
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
@@ -90,8 +91,7 @@ class KernelStepper(ABC):
             values = model.check_state(values)  # type: ignore[attr-defined]
         else:
             values = np.asarray(values)
-            nrows: int = model.rows  # type: ignore[attr-defined]
-            shape = (len(range(*rows.indices(nrows))), model.cols)  # type: ignore[attr-defined]
+            shape = (self._row_count(rows), model.cols)  # type: ignore[attr-defined]
             channels: int = model.num_channels  # type: ignore[attr-defined]
             if values.shape != shape or values.max(initial=0) >= 1 << channels:
                 raise ValueError(
@@ -102,9 +102,35 @@ class KernelStepper(ABC):
             values = values.astype(np.uint8, copy=False)
         self._write(rows, values)
 
+    def _row_count(self, rows: slice) -> int:
+        return len(range(*rows.indices(self.model.rows)))  # type: ignore[attr-defined]
+
     @abstractmethod
     def _write(self, rows: slice, values: np.ndarray) -> None:
         """Store pre-validated uint8 ``values`` into ``rows``."""
+
+    def write_planes(self, rows: slice, planes: np.ndarray) -> None:
+        """Store ``(C, n, W)`` uint64 bit-planes into the lattice rows ``rows``.
+
+        The inverse of :meth:`read_planes`, whose zero tail padding it
+        expects.  ``planes`` must have exactly the rows' packed shape;
+        this base version unpacks them and stores the sites.
+        """
+        self._check_planes(rows, planes)
+        self._write(rows, unpack_state(planes, self.model.cols))  # type: ignore[attr-defined]
+
+    def _check_planes(self, rows: slice, planes: np.ndarray) -> None:
+        model = self.model
+        shape = (
+            model.num_channels,  # type: ignore[attr-defined]
+            self._row_count(rows),
+            num_words(model.cols),  # type: ignore[attr-defined]
+        )
+        if planes.shape != shape or planes.dtype != np.uint64:
+            raise ValueError(
+                f"rows {rows.start}:{rows.stop} take {shape} uint64 planes, "
+                f"not shape {planes.shape} of {planes.dtype}"
+            )
 
     @abstractmethod
     def read(self, rows: slice = _ALL_ROWS) -> np.ndarray:
@@ -231,6 +257,11 @@ class BitplaneStepper(KernelStepper):
 
     def read_planes(self, rows: slice = _ALL_ROWS) -> np.ndarray:
         return self._planes[:, rows].copy()
+
+    def write_planes(self, rows: slice, planes: np.ndarray) -> None:
+        """As :meth:`KernelStepper.write_planes`: a plane-row copy."""
+        self._check_planes(rows, planes)
+        self._planes[:, rows] = planes
 
     @hot_path
     def advance(

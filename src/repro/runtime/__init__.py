@@ -4,11 +4,12 @@ This package scales the in-process resilience story
 (:mod:`repro.resilience`) up one level, to whole *processes*: the
 lattice is split into row slabs (:mod:`repro.runtime.sharding`), each
 slab evolves in its own worker process (:mod:`repro.runtime.worker`),
-and a supervisor (:mod:`repro.runtime.supervisor`) runs the halo-exchange
-barrier, watches heartbeats, restarts dead or hung workers from durable
-checkpoints, trips a per-backend circuit breaker
-(:mod:`repro.runtime.breaker`), and reports everything in a
-schema-versioned supervision report.
+all on the run's one kernel backend, and a supervisor
+(:mod:`repro.runtime.supervisor`) runs the halo-exchange barrier,
+watches heartbeats, restarts dead or hung workers from durable
+checkpoints, drops a worker that exhausts its restart budget (the run
+degrades or fails), and reports everything in a schema-versioned
+supervision report.
 
 The headline invariant: a supervised run that loses no shard
 permanently — however many workers crashed and restarted along the way —
@@ -16,7 +17,6 @@ produces a final lattice **bit-identical** to the unsupervised
 single-process evolution.
 """
 
-from repro.runtime.breaker import BreakerTransition, CircuitBreaker
 from repro.runtime.modelspec import MODEL_KINDS, ModelSpec
 from repro.runtime.sharding import Shard, ShardRunner, block_stop, plan_shards
 from repro.runtime.supervisor import (
@@ -30,8 +30,6 @@ from repro.runtime.supervisor import (
 from repro.runtime.worker import InducedFault, WorkerConfig, worker_main
 
 __all__ = [
-    "BreakerTransition",
-    "CircuitBreaker",
     "InducedFault",
     "MODEL_KINDS",
     "ModelSpec",

@@ -27,17 +27,14 @@ once.
 
 A runner's kernel stepper holds its local frame for the whole run (the
 bitplane stepper keeps it packed), as the paper's pipelines keep the
-lattice on chip and CAM-8's modules exchange only boundary sites.  Per
-block a shard converts only its halo and boundary rows.  A checkpoint
-stores the owned slab as packed bit-planes
-(:meth:`ShardRunner.packed_interior`): the bitplane stepper copies its
-plane rows and the reference stepper packs its sites, so both backends
-write, and restore from (:func:`load_slab`), one format.  The whole
-slab is unpacked only at a restore and at the final collect.  Halos
-cross between processes as ``uint8`` site rows, not packed words, so
-neighbouring shards may run different backends (the circuit breaker
-respawns a failing worker on its fallback backend next to unchanged
-neighbours).
+lattice on chip and CAM-8's modules exchange only boundary sites.
+Halos and checkpoints share one format, packed ``(C, n, W)`` bit-plane
+rows (:meth:`~repro.lgca.backends.KernelStepper.read_planes` /
+:meth:`~repro.lgca.backends.KernelStepper.write_planes`): on the
+bitplane stepper each is a plane-row copy, and the reference stepper
+packs and unpacks, so either backend restores the other's checkpoints
+(:func:`load_slab`).  The whole slab is unpacked only at a restore and
+at the final collect.
 
 Bit-identity at *this* layer holds for deterministic chirality policies
 only (``alternate``/``left``/``right``); per-site ``random`` chirality
@@ -55,7 +52,7 @@ import numpy as np
 from repro.lattice.slabs import Shard, plan_shards
 from repro.lgca.automaton import ObstacleMap
 from repro.lgca.backends import make_stepper
-from repro.lgca.bitplane import unpack_state
+from repro.lgca.bitplane import num_words, unpack_state
 from repro.resilience.checkpoint import CheckpointStore
 from repro.telemetry import NULL_RECORDER, Recorder
 from repro.util.errors import ConfigError
@@ -182,7 +179,10 @@ class ShardRunner:
             model, obstacles=obstacles, backend=backend, recorder=recorder
         )
         self._stepper.write(shard.interior, initial_slab)
-        self._zeros = np.zeros((shard.exchange_rows, cols), dtype=np.uint8)
+        self._zeros = np.zeros(
+            (model.num_channels, shard.exchange_rows, num_words(cols)),  # type: ignore[attr-defined]
+            dtype=np.uint64,
+        )
         # Pre-bound handles (see OBSERVABILITY.md): free under the null
         # recorder, allocation-free per block under a real one.
         self._clock = rec.clock
@@ -207,14 +207,15 @@ class ShardRunner:
     def boundary_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(top, bottom)`` — the slab's outermost rows for neighbours.
 
-        Always ``shard.exchange_rows`` (``k + 1``) rows each (fresh
-        arrays); receivers slice off the halo depth they need.
+        Always ``shard.exchange_rows`` (``k + 1``) rows each, as fresh
+        ``(C, k + 1, W)`` bit-planes; receivers slice off the halo depth
+        they need.
         """
         interior = self.shard.interior
         n = self.shard.exchange_rows
         return (
-            self._stepper.read(slice(interior.start, interior.start + n)),
-            self._stepper.read(slice(interior.stop - n, interior.stop)),
+            self._stepper.read_planes(slice(interior.start, interior.start + n)),
+            self._stepper.read_planes(slice(interior.stop - n, interior.stop)),
         )
 
     def set_halos(
@@ -225,19 +226,20 @@ class ShardRunner:
         """Refresh the halo rows from the neighbours' boundary rows.
 
         ``above_bottom`` is the *bottom* boundary block of the shard
-        above (its last ``k + 1`` rows); ``below_top`` the *top* block
-        of the shard below.  ``None`` zero-fills the halo — the
-        null-boundary lattice edge, where nothing flows in.
+        above (its last ``k + 1`` rows, as :meth:`boundary_rows` gives
+        them); ``below_top`` the *top* block of the shard below.
+        ``None`` zero-fills the halo — the null-boundary lattice edge,
+        where nothing flows in.
         """
         start = self._clock()
         shard = self.shard
         above = self._zeros if above_bottom is None else above_bottom
         below = self._zeros if below_top is None else below_top
-        self._stepper.write(
-            slice(0, shard.halo_top), above[shard.exchange_rows - shard.halo_top :]
+        self._stepper.write_planes(
+            slice(0, shard.halo_top), above[:, shard.exchange_rows - shard.halo_top :]
         )
-        self._stepper.write(
-            slice(shard.interior.stop, None), below[: shard.halo_bottom]
+        self._stepper.write_planes(
+            slice(shard.interior.stop, None), below[:, : shard.halo_bottom]
         )
         self._halo_timer.record(self._clock() - start)
 

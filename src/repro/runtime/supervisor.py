@@ -1,4 +1,4 @@
-"""The supervised sharded runtime: watchdog, restarts, breaker, report.
+"""The supervised sharded runtime: watchdog, restarts, degradation, report.
 
 :func:`supervised_run` shards a lattice evolution across worker
 *processes* (row slabs with halo exchange, :mod:`repro.runtime.sharding`)
@@ -7,9 +7,10 @@ single evolution:
 
 * a **block barrier** — at the start of every block of up to ``k``
   generations (:func:`~repro.runtime.sharding.block_stop`), each worker
-  publishes its ``k + 1`` boundary rows per side; once all live workers
-  have published block ``g``, the supervisor routes each worker its
-  neighbours' rows and the workers step the whole block.  The
+  publishes its ``k + 1`` boundary rows per side as packed bit-planes
+  (every worker of a run steps on the run's one backend); once all live
+  workers have published block ``g``, the supervisor routes each worker
+  its neighbours' rows and the workers step the whole block.  The
   supervisor keeps a bounded *halo history* of these exchanges, one
   entry per block;
 * a **watchdog** — a worker that owes the barrier a message and has
@@ -19,17 +20,14 @@ single evolution:
   (:class:`repro.util.backoff.BackoffPolicy`); the new incarnation
   restores the newest intact durable checkpoint
   (:class:`~repro.resilience.checkpoint.CheckpointStore`, packed
-  bit-planes on every backend) and the supervisor replays the halo
-  history, block by block, to catch it up to the barrier — so a
-  restarted run is **bit-identical** to an undisturbed one;
-* a per-primary-backend **circuit breaker**
-  (:class:`~repro.runtime.breaker.CircuitBreaker`) — repeated failures
-  attributed to the primary kernel backend reroute respawns to the
-  fallback (``reference``) backend, with a half-open probe after a
-  cooldown;
-* **graceful degradation** — a worker that exhausts its restart budget
-  is dropped: its neighbours keep stepping against its last published
-  boundary rows (the moving-frame analogue of
+  bit-planes), or its initial slab before the first one, and the
+  supervisor replays the halo history, block by block, to catch it up
+  to the barrier — so a restarted run is **bit-identical** to an
+  undisturbed one;
+* **graceful degradation** — a worker that exhausts its restart budget,
+  whatever keeps killing it (a crash, a hang, a persistent kernel
+  error), is dropped: its neighbours keep stepping against its last
+  published boundary rows (the moving-frame analogue of
   ``PartitionedEngine.failed_slices``) and the run completes *degraded*
   (if allowed) with the dead slab assembled from its last checkpoint;
 * a **deadline** — the whole run aborts when a wall-clock budget is
@@ -37,11 +35,10 @@ single evolution:
 
 Everything observable lands in a schema-versioned
 :class:`SupervisionReport`.  All timekeeping goes through one
-injectable :class:`~repro.telemetry.Clock` shared with the breaker
-(defaulting to the telemetry spine's monotonic clock), so the
-watchdog/deadline tests drive virtual time instead of sleeping, and
-worker lifecycle events (spawn, restart, watchdog kill, drop, breaker
-transitions) are emitted to an optional
+injectable :class:`~repro.telemetry.Clock` (defaulting to the telemetry
+spine's monotonic clock), so the watchdog/deadline tests drive virtual
+time instead of sleeping, and worker lifecycle events (spawn, restart,
+watchdog kill, drop, outcome) are emitted to an optional
 :class:`~repro.telemetry.Recorder` alongside the report.
 """
 
@@ -51,14 +48,14 @@ import multiprocessing
 import shutil
 import tempfile
 import time as _time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import InitVar, asdict, dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
 
 import numpy as np
 
 from repro.lgca.backends import stepper_class
-from repro.runtime.breaker import CircuitBreaker
+from repro.lgca.bitplane import pack_state
 from repro.runtime.modelspec import ModelSpec
 from repro.runtime.sharding import (
     Shard,
@@ -98,7 +95,7 @@ __all__ = [
 
 #: Supervision report schema identity.
 REPORT_SCHEMA = "repro-supervised-run"
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: Sub-lattice boundaries the row decomposition can reproduce exactly.
 _SHARDABLE_BOUNDARIES = ("periodic", "null")
@@ -125,9 +122,7 @@ class SupervisorConfig:
     num_workers:
         Worker processes / row slabs.
     backend:
-        Primary kernel backend for every worker.
-    fallback_backend:
-        Backend the circuit breaker falls back to (``reference``).
+        The kernel backend every worker of the run steps on.
     density, seed:
         Seeded uniform initial state (ignored when ``initial_state``
         is given).
@@ -150,8 +145,6 @@ class SupervisorConfig:
         restart budget between checkpoints.
     max_total_restarts:
         Run-wide restart budget across all workers.
-    breaker_threshold, breaker_cooldown:
-        Circuit-breaker settings for the primary backend.
     deadline_seconds:
         Wall-clock budget for the whole run (``None`` = unlimited).
     allow_degraded:
@@ -163,13 +156,15 @@ class SupervisorConfig:
         ``generations``, or it could never fire.
     start_method:
         Multiprocessing start method; default prefers ``fork``.
+
+    ``fallback_backend``, ``breaker_threshold`` and ``breaker_cooldown``
+    are accepted for older callers and ignored.
     """
 
     spec: ModelSpec
     generations: int
     num_workers: int = 2
     backend: str = "reference"
-    fallback_backend: str = "reference"
     density: float = 0.3
     seed: int = 0
     initial_state: np.ndarray | None = None
@@ -181,14 +176,15 @@ class SupervisorConfig:
     poll_interval: float = 0.02
     backoff: BackoffPolicy = field(default_factory=_default_backoff)
     max_total_restarts: int = 8
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 30.0
     deadline_seconds: float | None = None
     allow_degraded: bool = False
     induced: tuple[InducedFault, ...] = ()
     start_method: str | None = None
+    fallback_backend: InitVar[object] = None
+    breaker_threshold: InitVar[object] = None
+    breaker_cooldown: InitVar[object] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, *_ignored: object) -> None:
         check_positive(self.generations, "generations", integer=True)
         check_positive(self.num_workers, "num_workers", integer=True)
         check_positive(self.watchdog_timeout, "watchdog_timeout")
@@ -196,12 +192,9 @@ class SupervisorConfig:
         check_positive(self.checkpoint_interval, "checkpoint_interval", integer=True)
         check_positive(self.checkpoint_keep, "checkpoint_keep", integer=True)
         check_nonnegative(self.max_total_restarts, "max_total_restarts")
-        check_positive(self.breaker_threshold, "breaker_threshold", integer=True)
-        check_nonnegative(self.breaker_cooldown, "breaker_cooldown")
         if self.deadline_seconds is not None:
             check_positive(self.deadline_seconds, "deadline_seconds")
-        for name in (self.backend, self.fallback_backend):
-            stepper_class(name)
+        stepper_class(self.backend)
         if self.spec.boundary not in _SHARDABLE_BOUNDARIES:
             raise ConfigError(
                 f"boundary={self.spec.boundary!r} cannot be sharded "
@@ -234,7 +227,6 @@ class RestartEvent:
     generation: int
     reason: str
     delay: float
-    backend: str
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable form."""
@@ -244,7 +236,6 @@ class RestartEvent:
             "generation": self.generation,
             "reason": self.reason,
             "delay": round(self.delay, 6),
-            "backend": self.backend,
         }
 
 
@@ -255,9 +246,9 @@ class SupervisionReport:
     ``telemetry`` is the merged multi-process
     :class:`~repro.telemetry.TelemetryReport` (schema v2, one entry per
     coordinator/worker-incarnation) when the run was given a collecting
-    recorder; it travels alongside the report object — ``to_dict`` keeps
-    the v1 supervised-run schema unchanged, the CLI writes the telemetry
-    to its own ``--telemetry`` file.
+    recorder; it travels alongside the report object — ``to_dict`` is
+    the supervised-run schema alone, the CLI writes the telemetry to its
+    own ``--telemetry`` file.
     """
 
     outcome: str  # "complete" | "degraded" | "failed"
@@ -266,11 +257,9 @@ class SupervisionReport:
     generations_completed: int
     num_workers: int
     backend: str
-    fallback_backend: str
     restarts: list[RestartEvent]
     watchdog_kills: int
     checkpoint_saves: dict[int, int]
-    breaker: dict[str, object] | None
     degraded_shards: list[dict[str, int]]
     wall_time_seconds: float
     telemetry: TelemetryReport | None = None
@@ -291,14 +280,12 @@ class SupervisionReport:
             "generations_completed": self.generations_completed,
             "num_workers": self.num_workers,
             "backend": self.backend,
-            "fallback_backend": self.fallback_backend,
             "restarts": [r.to_dict() for r in self.restarts],
             "num_restarts": len(self.restarts),
             "watchdog_kills": self.watchdog_kills,
             "checkpoint_saves": {
                 str(w): n for w, n in sorted(self.checkpoint_saves.items())
             },
-            "breaker": self.breaker,
             "degraded_shards": self.degraded_shards,
             "wall_time_seconds": round(self.wall_time_seconds, 3),
         }
@@ -307,9 +294,8 @@ class SupervisionReport:
 class _Handle:
     """Supervisor-side state for one worker slot."""
 
-    def __init__(self, shard: Shard, backend: str):
+    def __init__(self, shard: Shard):
         self.shard = shard
-        self.backend = backend
         self.proc: multiprocessing.process.BaseProcess | None = None
         self.conn = None
         self.status = "restart-pending"  # spawned by the main loop
@@ -319,7 +305,6 @@ class _Handle:
         self.okay_since = 0.0  # monotonic time of last interaction
         self.restart_at = 0.0
         self.error: str | None = None
-        self.pending_restart: int | None = None  # index into restarts
         self.final_state: np.ndarray | None = None
 
     @property
@@ -340,11 +325,11 @@ class _Supervision:
     """One supervised run's event loop and bookkeeping.
 
     ``clock`` is the single monotonic time source for the watchdog,
-    restart backoff, the deadline, wall-time accounting, *and* the
-    circuit breaker — inject a :class:`~repro.telemetry.StepClock` and
-    every timeout in the run trips on virtual time.  ``recorder``
-    receives lifecycle events and heartbeat/restart counters; the
-    default null recorder makes that free.
+    restart backoff, the deadline and wall-time accounting — inject a
+    :class:`~repro.telemetry.StepClock` and every timeout in the run
+    trips on virtual time.  ``recorder`` receives lifecycle events and
+    heartbeat/restart counters; the default null recorder makes that
+    free.
     """
 
     def __init__(
@@ -364,13 +349,6 @@ class _Supervision:
         )
         self.ctx = multiprocessing.get_context(method)
         self.rng = np.random.default_rng(config.seed + 0x5EED)
-        self.breaker = CircuitBreaker(
-            backend=config.backend,
-            fallback=config.fallback_backend,
-            failure_threshold=config.breaker_threshold,
-            cooldown_seconds=config.breaker_cooldown,
-            clock=clock,
-        )
         init = (
             config.initial_state
             if config.initial_state is not None
@@ -382,14 +360,19 @@ class _Supervision:
                 f"{self.spec.rows}x{self.spec.cols} lattice"
             )
         self.initial = np.ascontiguousarray(init, dtype=np.uint8)
-        self.handles = [_Handle(s, config.backend) for s in self.shards]
-        # Halo history: block start -> worker -> (top, bottom) boundary rows.
+        self.handles = [_Handle(s) for s in self.shards]
+        # Halo history: block start -> worker -> (top, bottom) boundary
+        # rows, packed (C, k + 1, W) bit-planes as the workers send them.
         self.boundaries: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
         self.last_boundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        channels = self.spec.num_channels
         for h in self.handles:
             slab = self.initial[h.shard.row_start : h.shard.row_stop]
             n = h.shard.exchange_rows
-            self.last_boundary[h.index] = (slab[:n].copy(), slab[-n:].copy())
+            self.last_boundary[h.index] = (
+                pack_state(slab[:n], channels),
+                pack_state(slab[-n:], channels),
+            )
         # The next block start: every live worker's next boundary is owed.
         self.barrier = 0
         self.window = 2 * config.checkpoint_interval + 4
@@ -434,31 +417,20 @@ class _Supervision:
             self.config.checkpoint_interval,
         )
 
-    def _spawn(self, h: _Handle, first: bool) -> None:
+    def _spawn(self, h: _Handle) -> None:
         h.incarnation += 1
-        h.backend = self.breaker.select_backend(self.barrier)
-        if h.pending_restart is not None:
-            # Announced here, not at the failure, so the event names the
-            # backend this incarnation runs, as the report does.
-            i, h.pending_restart = h.pending_restart, None
-            self.restarts[i] = replace(self.restarts[i], backend=h.backend)
-            self.recorder.event("supervisor.restart", **asdict(self.restarts[i]))
         shard = h.shard
         wc = WorkerConfig(
             worker=h.index,
             spec=self.spec,
             shard=shard,
-            backend=h.backend,
+            backend=self.config.backend,
             target_generation=self.config.generations,
             checkpoint_dir=str(self._worker_dir(h.index)),
             checkpoint_interval=self.config.checkpoint_interval,
+            initial_slab=self.initial[shard.row_start : shard.row_stop].copy(),
             checkpoint_keep=self.config.checkpoint_keep,
             incarnation=h.incarnation,
-            initial_slab=(
-                self.initial[shard.row_start : shard.row_stop].copy()
-                if first
-                else None
-            ),
             obstacles_mask=self._local_obstacles(shard),
             induced=self.config.induced,
             spool_path=(
@@ -485,7 +457,7 @@ class _Supervision:
             "supervisor.spawn",
             worker=h.index,
             incarnation=h.incarnation,
-            backend=h.backend,
+            backend=self.config.backend,
             generation=self.barrier,
         )
 
@@ -513,7 +485,6 @@ class _Supervision:
             return
         self._kill(h)
         h.failures += 1
-        self.breaker.record_failure(h.backend, self.barrier)
         policy = self.config.backoff
         if (
             h.failures > policy.max_retries
@@ -524,17 +495,15 @@ class _Supervision:
         delay = policy.delay(h.failures - 1, self.rng)
         h.status = "restart-pending"
         h.restart_at = self.clock() + delay
-        h.pending_restart = len(self.restarts)
-        self.restarts.append(
-            RestartEvent(
-                worker=h.index,
-                incarnation=h.incarnation + 1,
-                generation=self.barrier,
-                reason=reason,
-                delay=delay,
-                backend=h.backend,  # replaced by the breaker's pick at respawn
-            )
+        restart = RestartEvent(
+            worker=h.index,
+            incarnation=h.incarnation + 1,
+            generation=self.barrier,
+            reason=reason,
+            delay=delay,
         )
+        self.restarts.append(restart)
+        self.recorder.event("supervisor.restart", **asdict(restart))
         self.total_restarts += 1
 
     def _drop(self, h: _Handle, reason: str) -> None:
@@ -633,7 +602,7 @@ class _Supervision:
             oldest = min(self.boundaries, default=self.barrier)
             if restored < self.barrier and restored < oldest:
                 self._fail(
-                    h, f"checkpoint at generation {restored} predates halo history"
+                    h, f"restart at generation {restored} predates halo history"
                 )
                 return
             # Checkpoints fall on block ends, so ``restored`` is a block
@@ -657,7 +626,6 @@ class _Supervision:
         elif kind == "checkpoint":
             self.checkpoint_saves[h.index] += 1
             h.failures = 0
-            self.breaker.record_success(h.backend, msg[1])
         elif kind == "done":
             h.status = "done"
         elif kind == "error":
@@ -715,13 +683,13 @@ class _Supervision:
 
     def _loop(self) -> None:
         for h in self.handles:
-            self._spawn(h, first=True)
+            self._spawn(h)
         while True:
             now = self.clock()
             self._check_timeouts(now)
             for h in self.handles:
                 if h.status == "restart-pending" and now >= h.restart_at:
-                    self._spawn(h, first=False)
+                    self._spawn(h)
             live = [
                 h
                 for h in self.handles
@@ -878,14 +846,6 @@ class _Supervision:
         finally:
             self._harvest_worker_telemetry()
             self._shutdown()
-        for t in self.breaker.transitions:
-            self.recorder.event(
-                "supervisor.breaker_transition",
-                backend=t.backend,
-                state=t.state,
-                generation=t.generation,
-                reason=t.reason,
-            )
         self.recorder.event(
             "supervisor.outcome",
             outcome=outcome,
@@ -901,15 +861,9 @@ class _Supervision:
             generations_completed=self.barrier,
             num_workers=self.config.num_workers,
             backend=self.config.backend,
-            fallback_backend=self.config.fallback_backend,
             restarts=self.restarts,
             watchdog_kills=self.watchdog_kills,
             checkpoint_saves=self.checkpoint_saves,
-            breaker=(
-                self.breaker.to_dict()
-                if self.config.backend != self.config.fallback_backend
-                else None
-            ),
             degraded_shards=self.degraded,
             wall_time_seconds=self.clock() - self.started,
         )
@@ -932,8 +886,7 @@ def supervised_run(
     same spec, seed, and generation count.
 
     ``clock`` is the run's only monotonic time source (watchdog,
-    backoff, deadline, breaker, wall time) — the same injectable the
-    breaker has always taken — so tests pass a
+    backoff, deadline, wall time), so tests pass a
     :class:`~repro.telemetry.StepClock` and drive every timeout on
     virtual time.  ``recorder`` collects worker lifecycle events and
     heartbeat counters; ``None`` means the zero-overhead null recorder.

@@ -18,22 +18,25 @@ worker sends                        supervisor replies
 ``("error", g, message)``           —  (the worker exits)
 =================================== =====================================
 
-``top`` and ``bottom`` are the slab's outermost ``k + 1`` rows; the
-worker then sets its halos and advances the whole block with one
-:meth:`~repro.runtime.sharding.ShardRunner.advance` call.
+``top`` and ``bottom`` are the slab's outermost ``k + 1`` rows, as
+packed ``(C, k + 1, W)`` bit-planes (every worker of a run steps on the
+same backend); the worker then sets its halos and advances the whole
+block with one :meth:`~repro.runtime.sharding.ShardRunner.advance`
+call.
 
-Every incarnation checkpoints its slab crash-safely, as packed
-bit-planes (:class:`~repro.resilience.checkpoint.CheckpointStore` with
-a directory), at every multiple of the checkpoint interval — always a
-block end, because blocks stop there.  The write is synchronous and
-durable before the ``checkpoint`` notice goes out.  A restarted
-incarnation finds no ``initial_slab`` in its config, restores the
-newest intact checkpoint (:func:`~repro.runtime.sharding.load_slab`,
-whichever backend wrote it), announces the restored generation in
-``ready``, and the supervisor replays the buffered halo history block
-by block to catch it up to the barrier — bit-identically, because the
-kernels are deterministic and the halos are the exact rows the dead
-incarnation saw.
+Every incarnation checkpoints its slab crash-safely, in the same packed
+format (:class:`~repro.resilience.checkpoint.CheckpointStore` with a
+directory), at every positive multiple of the checkpoint interval —
+always a block end, because blocks stop there.  The write is
+synchronous and durable before the ``checkpoint`` notice goes out.
+There is no generation-0 checkpoint: every incarnation's config carries
+the initial slab.  A restarted incarnation restores the newest intact
+checkpoint (:func:`~repro.runtime.sharding.load_slab`) if there is one
+and otherwise starts from that slab at generation 0; it announces its
+generation in ``ready``, and the supervisor replays the buffered halo
+history block by block to catch it up to the barrier — bit-identically,
+because the kernels are deterministic and the halos are the exact rows
+the dead incarnation saw.
 
 ``ready`` also carries a reading of the worker's monotonic clock — the
 supervisor timestamps the receipt and the difference becomes this
@@ -75,7 +78,7 @@ from repro.telemetry import (
     SpoolWriter,
     TelemetryError,
 )
-from repro.util.errors import ConfigError
+from repro.util.errors import CheckpointError, ConfigError
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = ["InducedFault", "WorkerConfig", "worker_main"]
@@ -103,11 +106,8 @@ class InducedFault:
         ``"crash"`` (hard ``os._exit`` — models OOM-kill / segfault),
         ``"stall"`` (sleep ``seconds`` — models a hang; the watchdog
         must reap it), or ``"backend-error"`` (raise — models a kernel
-        bug surfacing on one backend).
-    backend:
-        Restrict firing to incarnations running this backend (``None``
-        fires on any) — with the circuit breaker this models a fault
-        that follows the *backend*, not the worker.
+        bug; with ``incarnations`` above the restart budget it is a
+        persistent one).
     incarnations:
         Fire only while ``incarnation < incarnations`` (default 1: the
         first life only, so the restarted worker survives).
@@ -118,7 +118,6 @@ class InducedFault:
     worker: int
     generation: int
     kind: str
-    backend: str | None = None
     incarnations: int = 1
     seconds: float = 3600.0
 
@@ -132,15 +131,12 @@ class InducedFault:
         check_positive(self.incarnations, "incarnations", integer=True)
         check_positive(self.seconds, "seconds")
 
-    def armed(
-        self, worker: int, start: int, stop: int, incarnation: int, backend: str
-    ) -> bool:
+    def armed(self, worker: int, start: int, stop: int, incarnation: int) -> bool:
         """Whether this fault fires for the block ``[start, stop)``."""
         return (
             self.worker == worker
             and start <= self.generation < stop
             and incarnation < self.incarnations
-            and (self.backend is None or self.backend == backend)
         )
 
     def to_dict(self) -> dict[str, object]:
@@ -149,7 +145,6 @@ class InducedFault:
             "worker": self.worker,
             "generation": self.generation,
             "kind": self.kind,
-            "backend": self.backend,
             "incarnations": self.incarnations,
         }
 
@@ -158,8 +153,9 @@ class InducedFault:
 class WorkerConfig:
     """Everything one worker incarnation needs, by value (picklable).
 
-    ``initial_slab`` is set on the first incarnation only; later
-    incarnations restore from the checkpoint directory instead.
+    ``initial_slab`` is the owned rows' state at generation 0; a
+    restarted incarnation (``incarnation > 0``) starts from the newest
+    intact checkpoint in ``checkpoint_dir`` instead, when there is one.
     ``spool_path`` switches per-worker telemetry on: the worker records
     into its own recorder and spools snapshots there (one file per
     incarnation, the supervisor names it).
@@ -172,9 +168,9 @@ class WorkerConfig:
     target_generation: int
     checkpoint_dir: str
     checkpoint_interval: int
+    initial_slab: np.ndarray
     checkpoint_keep: int = 2
     incarnation: int = 0
-    initial_slab: np.ndarray | None = None
     obstacles_mask: np.ndarray | None = None
     induced: tuple[InducedFault, ...] = ()
     spool_path: str | None = None
@@ -183,9 +179,7 @@ class WorkerConfig:
 def _fire_induced(config: WorkerConfig, start: int, stop: int) -> None:
     """Inflict any fault armed for the block ``[start, stop)`` on ourselves."""
     for fault in config.induced:
-        if not fault.armed(
-            config.worker, start, stop, config.incarnation, config.backend
-        ):
+        if not fault.armed(config.worker, start, stop, config.incarnation):
             continue
         if fault.kind == "crash":
             os._exit(EXIT_INDUCED_CRASH)
@@ -288,11 +282,12 @@ def _worker_loop(
         keep=config.checkpoint_keep,
         directory=config.checkpoint_dir,
     )
-    restored = config.initial_slab is None
-    if restored:
-        generation, slab = load_slab(config.checkpoint_dir, config.spec.cols)
-    else:
-        generation, slab = 0, config.initial_slab
+    generation, slab = 0, config.initial_slab
+    if config.incarnation > 0:
+        try:
+            generation, slab = load_slab(config.checkpoint_dir, config.spec.cols)
+        except CheckpointError:
+            pass  # no intact checkpoint yet: start over from the slab
     runner = ShardRunner(
         model,
         shard,
@@ -316,15 +311,12 @@ def _worker_loop(
                 "halo_bottom": shard.halo_bottom,
             },
             target_generation=config.target_generation,
-            restored_generation=runner.time if restored else None,
+            restored_generation=runner.time if config.incarnation > 0 else None,
         )
     # The clock reading rides in ``ready`` for the alignment handshake;
     # MONOTONIC is also the spooling recorder's clock, so the offset the
     # supervisor computes applies to every span/event we record.
     conn.send(("ready", config.incarnation, runner.time, MONOTONIC()))
-    if not restored:
-        _checkpoint(store, runner, conn, recorder, spool)
-
     finished = _advance_to_target(config, conn, runner, store, recorder, spool)
     _spool_snapshot(
         spool,
@@ -345,10 +337,10 @@ def worker_main(config: WorkerConfig, conn: Connection) -> None:
     """Process entry point: run the shard loop, report errors, exit.
 
     Any exception is reported as an ``("error", ...)`` message before a
-    hard exit, so the supervisor can distinguish a backend bug (restart
-    on the fallback backend) from a silent death (plain restart).  With
-    a spool configured, a last-gasp snapshot is attempted first so the
-    failing incarnation's telemetry survives it.
+    hard exit, so the supervisor's restart report names the error rather
+    than a bare exit code.  With a spool configured, a last-gasp
+    snapshot is attempted first so the failing incarnation's telemetry
+    survives it.
     """
     recorder: Recorder = NULL_RECORDER
     spool: SpoolWriter | None = None

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.lgca.automaton import LatticeGasAutomaton, ObstacleMap
 from repro.lgca.backends import BACKENDS, KernelStepper, make_stepper
+from repro.lgca.bitplane import num_words, pack_state, unpack_state
 from repro.lgca.fhp import FHPModel
 from repro.lgca.flows import uniform_random_state
 from repro.lgca.hpp import HPPModel
@@ -221,6 +222,44 @@ class TestStepperContracts:
                 stepper.write(slice(0, 2), np.full((2, 65), 128, dtype=np.uint8))
             with pytest.raises(ValueError, match="shape"):
                 stepper.write(slice(None), np.zeros((5, 65), dtype=np.uint8))
+
+    def test_write_planes_read_planes_round_trip(self):
+        """Packed rows in and out: the one format of halos and checkpoints."""
+        for backend in BACKENDS:
+            for cols in CONTRACT_COLS:
+                model, state = _fhp7(cols)
+                stepper = make_stepper(model, backend=backend)
+                stepper.write(slice(None), state)
+                planes = stepper.read_planes()
+                assert planes.dtype == np.uint64
+                np.testing.assert_array_equal(planes, pack_state(state, 7))
+                block = pack_state(_state(cols + 1, 2, cols, 7), 7)
+                stepper.write_planes(slice(2, 4), block)
+                np.testing.assert_array_equal(stepper.read_planes(slice(2, 4)), block)
+                expected = state.copy()
+                expected[2:4] = unpack_state(block, cols)
+                block[:] = 0  # the stepper keeps no reference to its input
+                np.testing.assert_array_equal(
+                    stepper.read(), expected, err_msg=f"{backend} cols={cols}"
+                )
+
+    def test_write_planes_rejects_bad_shapes(self):
+        for backend in BACKENDS:
+            for cols in CONTRACT_COLS:
+                model, state = _fhp7(cols)
+                stepper = make_stepper(model, backend=backend)
+                stepper.write(slice(None), state)
+                w = num_words(cols)
+                for bad in (
+                    np.zeros((7, 3, w), dtype=np.uint64),  # too many rows
+                    np.zeros((6, 2, w), dtype=np.uint64),  # too few channels
+                    np.zeros((7, 2, w + 1), dtype=np.uint64),  # too many words
+                    np.zeros((7, 2 * cols), dtype=np.uint8),  # site rows
+                    np.zeros((7, 2, w), dtype=np.uint8),  # not words
+                ):
+                    with pytest.raises(ValueError, match="planes"):
+                        stepper.write_planes(slice(0, 2), bad)
+                np.testing.assert_array_equal(stepper.read(), state)
 
     def test_run_equals_repeated_step(self):
         for backend in BACKENDS:

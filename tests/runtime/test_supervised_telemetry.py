@@ -3,13 +3,15 @@
 Satellite of the telemetry tentpole: a supervised run with a recorder
 must hand back ONE merged v2 report — coordinator plus every worker
 incarnation's spool, clock-aligned — and the supervisor's lifecycle
-event stream (spawn / restart / watchdog_kill / breaker_transition)
-must carry worker attribution through induced kill and stall faults.
+event stream (spawn / restart / watchdog_kill / drop / outcome) must
+carry worker attribution through induced kill and stall faults.
 
 These spawn real worker processes; faults and clocks follow the
 patterns of ``test_supervised.py`` (StepClock for the stall, no real
 waiting on the induced 60-second hang).
 """
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -174,6 +176,12 @@ class TestKillScenario:
         assert "died" in restart["reason"]
         spawns = events_named(report, "supervisor.spawn")
         assert len(spawns) == 3  # two initial + one respawn
+        # Emitted where the failure is recorded, so it matches the
+        # report's restart and precedes the respawn it schedules.
+        (event,) = report.restarts
+        assert {k: restart[k] for k in asdict(event)} == asdict(event)
+        (respawn,) = [e for e in spawns if e["incarnation"] == 1]
+        assert restart["time"] <= respawn["time"]
 
 
 class TestStallScenario:
@@ -205,57 +213,3 @@ class TestStallScenario:
         assert "watchdog" in restart["reason"]
         names = [p["name"] for p in report.telemetry.processes]
         assert "worker-1.0" in names and "worker-1.1" in names
-
-
-class TestBreakerScenario:
-    def test_breaker_transition_events_carry_backend(self, spec, golden):
-        recorder = InMemoryRecorder()
-        state, report = supervised_run(
-            config(
-                spec,
-                backend="bitplane",
-                fallback_backend="reference",
-                checkpoint_interval=64,
-                breaker_threshold=3,
-                breaker_cooldown=1000.0,
-                induced=(
-                    InducedFault(
-                        worker=0,
-                        generation=5,
-                        kind="backend-error",
-                        backend="bitplane",
-                        incarnations=99,
-                    ),
-                ),
-            ),
-            recorder=recorder,
-        )
-        assert report.outcome == "complete"
-        assert np.array_equal(state, golden)
-        trips = events_named(report, "supervisor.breaker_transition")
-        assert trips and trips[0]["backend"] == "bitplane"
-        assert trips[0]["state"] == "open"
-        # The rescued incarnations ran the fallback backend, and the
-        # merged report shows it per process.
-        backends = {
-            p["name"]: p["backend"] for p in report.telemetry.processes[1:]
-        }
-        assert backends["worker-0.0"] == "bitplane"
-        assert any(
-            b == "reference" for name, b in backends.items()
-            if name.startswith("worker-0.")
-        )
-        # Each restart event names the backend its incarnation ran, as
-        # that incarnation's spawn event and the report's restarts do.
-        restarts = events_named(report, "supervisor.restart")
-        spawned = {
-            (e["worker"], e["incarnation"]): e["backend"]
-            for e in events_named(report, "supervisor.spawn")
-        }
-        assert [(e["worker"], e["incarnation"], e["backend"]) for e in restarts] == [
-            (r.worker, r.incarnation, r.backend) for r in report.restarts
-        ]
-        for e in restarts:
-            assert e["backend"] == spawned[(e["worker"], e["incarnation"])]
-        assert restarts[-1]["backend"] == "reference"
-        assert validate_report(report.telemetry.to_dict()) == []

@@ -173,17 +173,15 @@ class TestInvalidInput:
             ["run", "--supervised", "--induce", "kill:9@3"],
             ["run", "--supervised", "--generations", "4", "--induce", "kill:0@4"],
             ["run", "--supervised", "--boundary", "reflecting"],
+            ["run", "--supervised", "--induce", "kill:0@3:backend=bitplane"],
             # Every supervision-only flag on a direct run.
             ["run", "--workers", "2"],
-            ["run", "--fallback-backend", "bitplane"],
             ["run", "--checkpoint-interval", "4"],
             ["run", "--checkpoint-dir", "ckpt"],
             ["run", "--watchdog-timeout", "5"],
             ["run", "--restart-delay", "0.5"],
             ["run", "--max-worker-restarts", "2"],
             ["run", "--max-restarts", "4"],
-            ["run", "--breaker-threshold", "2"],
-            ["run", "--breaker-cooldown", "1"],
             ["run", "--deadline", "60"],
             ["run", "--allow-degraded"],
             ["run", "--induce", "kill:0@1"],

@@ -53,13 +53,10 @@ def _flags(draw, table: dict[str, tuple[list[str], list[str]]]) -> list[str]:
 SUPERVISION_FLAGS = st.sampled_from(
     [
         ["--workers", "2"],
-        ["--fallback-backend", "bitplane"],
         ["--checkpoint-interval", "2"],
         ["--watchdog-timeout", "5"],
         ["--restart-delay", "0.02"],
         ["--max-worker-restarts", "2"],
-        ["--breaker-threshold", "2"],
-        ["--breaker-cooldown", "1"],
         ["--deadline", "60"],
         ["--allow-degraded"],
         ["--induce", "kill:0@1"],
