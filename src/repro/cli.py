@@ -796,7 +796,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not bit_identical:
             exit_code = 1
     # The supervisor hands back a merged multi-process report (worker
-    # spools + coordinator, clock-aligned); fall back to the coordinator
+    # snapshots + coordinator, clock-aligned); fall back to the coordinator
     # snapshot if the merge was unavailable.
     _write_telemetry(
         args, recorder, report=report.telemetry, outcome=report.outcome, **meta

@@ -33,8 +33,9 @@ rows (:meth:`~repro.lgca.backends.KernelStepper.read_planes` /
 :meth:`~repro.lgca.backends.KernelStepper.write_planes`): on the
 bitplane stepper each is a plane-row copy, and the reference stepper
 packs and unpacks, so either backend restores the other's checkpoints
-(:func:`load_slab`).  The whole slab is unpacked only at a restore and
-at the final collect.
+(:func:`load_slab`), and the final slab crosses to the supervisor as
+planes too.  The whole slab is unpacked only at a restore and at the
+final assembly, in the supervisor.
 
 Bit-identity at *this* layer holds for deterministic chirality policies
 only (``alternate``/``left``/``right``); per-site ``random`` chirality

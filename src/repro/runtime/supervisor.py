@@ -40,6 +40,13 @@ spine's monotonic clock), so the watchdog/deadline tests drive virtual
 time instead of sleeping, and worker lifecycle events (spawn, restart,
 watchdog kill, drop, outcome) are emitted to an optional
 :class:`~repro.telemetry.Recorder` alongside the report.
+
+Each worker's pipe is its only channel.  Its final slab arrives in its
+``done`` message as packed bit-planes, unpacked here.  With a collecting
+recorder, every ``checkpoint``, ``done`` and ``error`` message also
+carries the incarnation's cumulative telemetry snapshot; the newest one
+per incarnation is merged into the report, so a killed worker loses
+only what it recorded since its last checkpoint.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.lgca.backends import stepper_class
-from repro.lgca.bitplane import pack_state
+from repro.lgca.bitplane import pack_state, unpack_state
 from repro.runtime.modelspec import ModelSpec
 from repro.runtime.sharding import (
     Shard,
@@ -76,10 +83,8 @@ from repro.telemetry import (
 from repro.telemetry.merge import (
     ProcessTelemetry,
     coordinator_process,
-    load_worker_spools,
     merge_processes,
 )
-from repro.telemetry.spool import worker_spool_path
 from repro.util.backoff import BackoffPolicy
 from repro.util.errors import CheckpointError, ConfigError
 from repro.util.validation import check_nonnegative, check_positive
@@ -132,7 +137,8 @@ class SupervisorConfig:
         Optional whole-lattice obstacle mask.
     checkpoint_dir:
         Directory for per-worker durable checkpoints; a temporary
-        directory (removed afterwards) when ``None``.
+        directory (removed afterwards) when ``None``.  A directory that
+        already holds shard checkpoints is refused (``ConfigError``).
     checkpoint_interval, checkpoint_keep:
         Per-worker :class:`CheckpointStore` settings.
     watchdog_timeout:
@@ -291,6 +297,20 @@ class SupervisionReport:
         }
 
 
+def _check_no_checkpoints(root: Path) -> None:
+    """Refuse a checkpoint dir that already holds shard checkpoints.
+
+    Another run's generations would mix with this run's: pruning keeps
+    the newest, so a restarted worker could restore a stale slab.
+    """
+    stale = sorted(root.glob("worker-*/ckpt-*.ckpt"))
+    if stale:
+        raise ConfigError(
+            f"checkpoint dir {root} already holds checkpoints "
+            f"({stale[0].relative_to(root)}); use an empty directory"
+        )
+
+
 class _Handle:
     """Supervisor-side state for one worker slot."""
 
@@ -305,7 +325,7 @@ class _Handle:
         self.okay_since = 0.0  # monotonic time of last interaction
         self.restart_at = 0.0
         self.error: str | None = None
-        self.final_state: np.ndarray | None = None
+        self.final_state: np.ndarray | None = None  # set on done or drop
 
     @property
     def index(self) -> int:
@@ -382,19 +402,15 @@ class _Supervision:
         self.restarts: list[RestartEvent] = []
         self.degraded: list[dict[str, int]] = []
         self._owns_ckpt_dir = config.checkpoint_dir is None
-        self.ckpt_root = Path(
-            config.checkpoint_dir
-            or tempfile.mkdtemp(prefix="repro-supervised-")
-        )
-        # Per-worker telemetry spools live beside the checkpoints (same
-        # lifetime, same durability story); workers get a spool path only
-        # when the run is actually collecting.
+        if config.checkpoint_dir is None:
+            self.ckpt_root = Path(tempfile.mkdtemp(prefix="repro-supervised-"))
+        else:
+            self.ckpt_root = Path(config.checkpoint_dir)
+            _check_no_checkpoints(self.ckpt_root)
+        # Workers record only when the run is collecting; each message
+        # that carries a snapshot replaces its incarnation's entry.
         self.telemetry_on = isinstance(self.recorder, InMemoryRecorder)
-        self.spool_dir = self.ckpt_root / "telemetry"
-        # (worker, incarnation) -> coordinator-minus-worker clock offset,
-        # measured at the ready handshake on the recorder's clock.
-        self.clock_offsets: dict[tuple[int, int], float] = {}
-        self._worker_telemetry: list[ProcessTelemetry] = []
+        self.worker_telemetry: dict[tuple[int, int], ProcessTelemetry] = {}
         self.started = self.clock()
 
     # -- spawning ------------------------------------------------------
@@ -433,16 +449,11 @@ class _Supervision:
             incarnation=h.incarnation,
             obstacles_mask=self._local_obstacles(shard),
             induced=self.config.induced,
-            spool_path=(
-                str(worker_spool_path(self.spool_dir, h.index, h.incarnation))
-                if self.telemetry_on
-                else None
-            ),
         )
         parent, child = self.ctx.Pipe(duplex=True)
         proc = self.ctx.Process(
             target=worker_main,
-            args=(wc, child),
+            args=(wc, child, self.telemetry_on),
             name=f"repro-worker-{h.index}",
             daemon=True,
         )
@@ -453,6 +464,23 @@ class _Supervision:
         h.status = "starting"
         h.okay_since = self.clock()
         h.error = None
+        if self.telemetry_on:
+            self.worker_telemetry[(h.index, h.incarnation)] = ProcessTelemetry(
+                name=f"worker-{h.index}.{h.incarnation}",
+                kind="worker",
+                snapshot={},
+                pid=proc.pid,
+                worker=h.index,
+                incarnation=h.incarnation,
+                backend=self.config.backend,
+                shard={
+                    "index": shard.index,
+                    "row_start": shard.row_start,
+                    "row_stop": shard.row_stop,
+                    "halo_top": shard.halo_top,
+                    "halo_bottom": shard.halo_bottom,
+                },
+            )
         self.recorder.event(
             "supervisor.spawn",
             worker=h.index,
@@ -585,20 +613,30 @@ class _Supervision:
 
     # -- message handling ----------------------------------------------
 
+    def _on_snapshot(
+        self,
+        h: _Handle,
+        status: str,
+        generation: int,
+        snapshot: dict[str, object] | None,
+    ) -> None:
+        proc = self.worker_telemetry.get((h.index, h.incarnation))
+        if proc is not None and snapshot is not None:
+            proc.snapshot, proc.status, proc.generation = snapshot, status, generation
+
     def _on_message(self, h: _Handle, msg: tuple) -> None:
         kind = msg[0]
         h.okay_since = self.clock()
         self._heartbeats.add(1)
         if kind == "ready":
-            _incarnation, restored = msg[1], msg[2]
-            if self.telemetry_on and len(msg) > 3 and msg[3] is not None:
+            restored = msg[2]
+            proc = self.worker_telemetry.get((h.index, h.incarnation))
+            if proc is not None:
                 # Handshake clock alignment: the worker read its clock
                 # just before sending, we read ours (the recorder's —
                 # the telemetry timeline) on receipt, so the offset is
                 # late by at most the message latency.
-                self.clock_offsets[(h.index, h.incarnation)] = (
-                    self.recorder.clock() - float(msg[3])
-                )
+                proc.clock_offset = self.recorder.clock() - float(msg[3])
             oldest = min(self.boundaries, default=self.barrier)
             if restored < self.barrier and restored < oldest:
                 self._fail(
@@ -626,9 +664,13 @@ class _Supervision:
         elif kind == "checkpoint":
             self.checkpoint_saves[h.index] += 1
             h.failures = 0
+            self._on_snapshot(h, "checkpoint", msg[1], msg[2])
         elif kind == "done":
             h.status = "done"
+            h.final_state = unpack_state(msg[2], self.spec.cols)
+            self._on_snapshot(h, "done", msg[1], msg[3])
         elif kind == "error":
+            self._on_snapshot(h, "error", msg[1], msg[3])
             self._fail(h, f"worker error: {msg[2]}")
 
     def _drain(self, h: _Handle) -> None:
@@ -722,83 +764,19 @@ class _Supervision:
     # -- collection ----------------------------------------------------
 
     def _collect(self) -> np.ndarray:
+        """Assemble the lattice: finished slabs and frozen dropped ones."""
         full = np.zeros((self.spec.rows, self.spec.cols), dtype=np.uint8)
         for h in self.handles:
-            if h.status == "dropped":
-                full[h.shard.row_start : h.shard.row_stop] = h.final_state
-                continue
-            state = self._collect_one(h)
-            if state is None:
-                self._fail(h, "worker died before returning its final slab")
-                if h.status != "dropped":
-                    # _fail scheduled a restart, but collection cannot
-                    # wait for a whole re-run; degrade or abort instead.
-                    h.status = "dropped"
-                    generation, slab = self._checkpointed_slab(h)
-                    self.degraded.append(
-                        {
-                            "worker": h.index,
-                            "row_start": h.shard.row_start,
-                            "row_stop": h.shard.row_stop,
-                            "generation": generation,
-                        }
-                    )
-                    if not self.config.allow_degraded:
-                        raise _Abort(
-                            "failed",
-                            f"worker {h.index} lost at collection and degraded "
-                            f"completion is not allowed",
-                        )
-                    h.final_state = slab
-                full[h.shard.row_start : h.shard.row_stop] = h.final_state
-                continue
-            full[h.shard.row_start : h.shard.row_stop] = state
+            full[h.shard.row_start : h.shard.row_stop] = h.final_state
         return full
 
-    def _collect_one(self, h: _Handle) -> np.ndarray | None:
-        if h.conn is None:
-            return None
-        try:
-            h.conn.send(("collect",))
-            deadline = self.clock() + self.config.watchdog_timeout
-            while self.clock() < deadline:
-                if not h.conn.poll(timeout=self.config.poll_interval):
-                    continue
-                msg = h.conn.recv()
-                if msg[0] == "state":
-                    if msg[1] != self.config.generations:
-                        return None
-                    return np.asarray(msg[2], dtype=np.uint8)
-                self._on_message(h, msg)  # late checkpoint notices
-        except (OSError, EOFError):
-            return None
-        return None
-
     # -- telemetry -----------------------------------------------------
-
-    def _harvest_worker_telemetry(self) -> None:
-        """Read every worker spool before the checkpoint root vanishes.
-
-        Runs in the ``finally`` path ahead of :meth:`_shutdown` (which
-        may rmtree an owned temp root).  Spools are already durable —
-        each worker fsyncs its final snapshot before sending ``done``,
-        and a killed worker's last-checkpoint snapshot is on disk — so
-        this is a plain read, not a join.
-        """
-        if not self.telemetry_on:
-            return
-        try:
-            self._worker_telemetry = load_worker_spools(
-                self.spool_dir, self.clock_offsets
-            )
-        except Exception:  # noqa: BLE001 - telemetry must never fail a run
-            self._worker_telemetry = []
 
     def _merged_telemetry(self, outcome: str, reason: str) -> TelemetryReport | None:
         """The schema-v2 multi-process report: coordinator + every life."""
         try:
             processes = [coordinator_process(self.recorder)]  # type: ignore[arg-type]
-            processes.extend(self._worker_telemetry)
+            processes.extend(p for _, p in sorted(self.worker_telemetry.items()))
             return merge_processes(
                 processes,
                 meta={
@@ -844,7 +822,6 @@ class _Supervision:
         except _Abort as abort:
             outcome, reason = abort.outcome, abort.reason
         finally:
-            self._harvest_worker_telemetry()
             self._shutdown()
         self.recorder.event(
             "supervisor.outcome",

@@ -12,13 +12,14 @@ worker sends                        supervisor replies
 ``clock)``                          (one entry per block start ``g``)
 ``("boundary", g, top, bottom)``    ``("halo", g, above, below)``
 (once per block, at its start ``g``)
-``("checkpoint", g)``               —  (accounting only)
-``("done", g)``                     ``("collect",)``
-``("state", g, slab)``              ``("stop",)``
-``("error", g, message)``           —  (the worker exits)
+``("checkpoint", g, snapshot)``     —  (accounting only)
+``("done", g, planes, snapshot)``   —  (the worker exits)
+``("error", -1, message,            —  (the worker exits)
+``snapshot)``
 =================================== =====================================
 
-``top`` and ``bottom`` are the slab's outermost ``k + 1`` rows, as
+A ``("stop",)`` in place of a ``replay`` or ``halo`` ends the worker
+early.  ``top`` and ``bottom`` are the slab's outermost ``k + 1`` rows, as
 packed ``(C, k + 1, W)`` bit-planes (every worker of a run steps on the
 same backend); the worker then sets its halos and advances the whole
 block with one :meth:`~repro.runtime.sharding.ShardRunner.advance`
@@ -38,18 +39,23 @@ history block by block to catch it up to the barrier — bit-identically,
 because the kernels are deterministic and the halos are the exact rows
 the dead incarnation saw.
 
+``done`` carries the final slab as packed ``(C, slab_rows, W)``
+bit-planes (:meth:`~repro.runtime.sharding.ShardRunner.packed_interior`);
+the supervisor unpacks them.  The pipe is the worker's only channel:
+nothing else is written but its checkpoints.
+
 ``ready`` also carries a reading of the worker's monotonic clock — the
 supervisor timestamps the receipt and the difference becomes this
-incarnation's clock offset, aligning its spooled span/event times onto
-the coordinator timeline (see :mod:`repro.telemetry.merge`).
+incarnation's clock offset, aligning its span/event times onto the
+coordinator timeline (see :mod:`repro.telemetry.merge`).
 
-Telemetry follows the checkpoint discipline: when
-``WorkerConfig.spool_path`` is set, the worker records into a private
-:class:`~repro.telemetry.InMemoryRecorder` and appends cumulative
-snapshots to a crash-safe spool (:mod:`repro.telemetry.spool`) — at
-every checkpoint and once more before ``done`` — so a killed worker
-loses at most the telemetry since its last checkpoint, exactly what it
-loses in lattice state.
+Telemetry follows the checkpoint discipline: when ``worker_main`` is
+told to record, the worker records into a private
+:class:`~repro.telemetry.InMemoryRecorder` and every ``checkpoint``,
+``done`` and last-gasp ``error`` message carries its cumulative
+snapshot (``None`` when not recording), so a killed worker loses at
+most the telemetry since its last checkpoint, exactly what it loses in
+lattice state.
 
 :class:`InducedFault` is the runtime's chaos hook (the process-level
 sibling of :class:`repro.resilience.faults.FaultSpec`): a configured
@@ -70,14 +76,7 @@ import numpy as np
 from repro.resilience.checkpoint import CheckpointStore
 from repro.runtime.modelspec import ModelSpec
 from repro.runtime.sharding import Shard, ShardRunner, block_stop, load_slab
-from repro.telemetry import (
-    MONOTONIC,
-    NULL_RECORDER,
-    InMemoryRecorder,
-    Recorder,
-    SpoolWriter,
-    TelemetryError,
-)
+from repro.telemetry import MONOTONIC, NULL_RECORDER, InMemoryRecorder, Recorder
 from repro.util.errors import CheckpointError, ConfigError
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -156,9 +155,6 @@ class WorkerConfig:
     ``initial_slab`` is the owned rows' state at generation 0; a
     restarted incarnation (``incarnation > 0``) starts from the newest
     intact checkpoint in ``checkpoint_dir`` instead, when there is one.
-    ``spool_path`` switches per-worker telemetry on: the worker records
-    into its own recorder and spools snapshots there (one file per
-    incarnation, the supervisor names it).
     """
 
     worker: int
@@ -173,7 +169,6 @@ class WorkerConfig:
     incarnation: int = 0
     obstacles_mask: np.ndarray | None = None
     induced: tuple[InducedFault, ...] = ()
-    spool_path: str | None = None
 
 
 def _fire_induced(config: WorkerConfig, start: int, stop: int) -> None:
@@ -192,23 +187,11 @@ def _fire_induced(config: WorkerConfig, start: int, stop: int) -> None:
             )
 
 
-def _spool_snapshot(
-    spool: SpoolWriter | None,
-    recorder: Recorder,
-    status: str,
-    generation: int,
-) -> None:
-    """Best-effort cumulative snapshot frame (telemetry never kills a worker)."""
-    if spool is None:
-        return
-    try:
-        spool.snapshot_frame(
-            recorder.snapshot(),  # type: ignore[attr-defined]
-            status=status,
-            generation=generation,
-        )
-    except TelemetryError:
-        pass
+def _snapshot(recorder: Recorder) -> dict[str, object] | None:
+    """The cumulative telemetry snapshot, or ``None`` when not recording."""
+    if isinstance(recorder, InMemoryRecorder):
+        return recorder.snapshot()
+    return None
 
 
 def _checkpoint(
@@ -216,11 +199,9 @@ def _checkpoint(
     runner: ShardRunner,
     conn: Connection,
     recorder: Recorder,
-    spool: SpoolWriter | None,
 ) -> None:
     store.save(runner.time, runner.packed_interior())
-    _spool_snapshot(spool, recorder, status="checkpoint", generation=runner.time)
-    conn.send(("checkpoint", runner.time))
+    conn.send(("checkpoint", runner.time, _snapshot(recorder)))
 
 
 def _advance_to_target(
@@ -229,7 +210,6 @@ def _advance_to_target(
     runner: ShardRunner,
     store: CheckpointStore,
     recorder: Recorder,
-    spool: SpoolWriter | None,
 ) -> bool:
     """Replay buffered halo blocks, then step to the target; False on early stop."""
     target = config.target_generation
@@ -243,7 +223,7 @@ def _advance_to_target(
         runner.set_halos(above, below)
         runner.advance(stop - runner.time)
         if store.due(runner.time):
-            _checkpoint(store, runner, conn, recorder, spool)
+            _checkpoint(store, runner, conn, recorder)
 
     msg = conn.recv()
     if msg[0] == "stop":
@@ -269,12 +249,7 @@ def _advance_to_target(
     return True
 
 
-def _worker_loop(
-    config: WorkerConfig,
-    conn: Connection,
-    recorder: Recorder,
-    spool: SpoolWriter | None,
-) -> None:
+def _worker_loop(config: WorkerConfig, conn: Connection, recorder: Recorder) -> None:
     shard = config.shard
     model = config.spec.build(rows=shard.local_rows)
     store = CheckpointStore(
@@ -297,66 +272,39 @@ def _worker_loop(
         time=generation,
         recorder=recorder,
     )
-    if spool is not None:
-        spool.open_frame(
-            worker=config.worker,
-            incarnation=config.incarnation,
-            pid=os.getpid(),
-            backend=config.backend,
-            shard={
-                "index": shard.index,
-                "row_start": shard.row_start,
-                "row_stop": shard.row_stop,
-                "halo_top": shard.halo_top,
-                "halo_bottom": shard.halo_bottom,
-            },
-            target_generation=config.target_generation,
-            restored_generation=runner.time if config.incarnation > 0 else None,
-        )
     # The clock reading rides in ``ready`` for the alignment handshake;
-    # MONOTONIC is also the spooling recorder's clock, so the offset the
+    # MONOTONIC is also the worker recorder's clock, so the offset the
     # supervisor computes applies to every span/event we record.
     conn.send(("ready", config.incarnation, runner.time, MONOTONIC()))
-    finished = _advance_to_target(config, conn, runner, store, recorder, spool)
-    _spool_snapshot(
-        spool,
-        recorder,
-        status="done" if finished else "stopped",
-        generation=runner.time,
-    )
-    if not finished:
-        return
-    conn.send(("done", runner.time))
-    msg = conn.recv()
-    if msg[0] == "collect":
-        conn.send(("state", runner.time, runner.interior))
-        conn.recv()  # the final ("stop",)
+    if _advance_to_target(config, conn, runner, store, recorder):
+        conn.send(
+            ("done", runner.time, runner.packed_interior(), _snapshot(recorder))
+        )
 
 
-def worker_main(config: WorkerConfig, conn: Connection) -> None:
+def worker_main(
+    config: WorkerConfig, conn: Connection, telemetry: bool = False
+) -> None:
     """Process entry point: run the shard loop, report errors, exit.
 
     Any exception is reported as an ``("error", ...)`` message before a
     hard exit, so the supervisor's restart report names the error rather
-    than a bare exit code.  With a spool configured, a last-gasp
-    snapshot is attempted first so the failing incarnation's telemetry
-    survives it.
+    than a bare exit code.  With ``telemetry`` on, the worker records
+    into its own recorder and the message carries its last snapshot, so
+    the failing incarnation's telemetry survives it.
     """
-    recorder: Recorder = NULL_RECORDER
-    spool: SpoolWriter | None = None
+    recorder: Recorder = (
+        InMemoryRecorder(clock=MONOTONIC) if telemetry else NULL_RECORDER
+    )
     try:
-        if config.spool_path is not None:
-            recorder = InMemoryRecorder(clock=MONOTONIC)
-            spool = SpoolWriter(config.spool_path)
-        _worker_loop(config, conn, recorder, spool)
+        _worker_loop(config, conn, recorder)
     except Exception as exc:  # deliberate last-resort: report, then die
-        _spool_snapshot(spool, recorder, status="error", generation=-1)
         try:
-            conn.send(("error", -1, f"{type(exc).__name__}: {exc}"))
+            conn.send(
+                ("error", -1, f"{type(exc).__name__}: {exc}", _snapshot(recorder))
+            )
         except OSError:
             pass
         os._exit(EXIT_ERROR)
     finally:
-        if spool is not None:
-            spool.close()
         conn.close()

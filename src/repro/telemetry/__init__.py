@@ -9,8 +9,8 @@ switched on by passing an
 a schema-versioned :class:`~repro.telemetry.report.TelemetryReport`.
 
 Multi-process runs extend the spine across process boundaries: workers
-append recorder snapshots to crash-safe spools
-(:mod:`repro.telemetry.spool`), a merger folds them into one v2 report
+send cumulative recorder snapshots to the supervisor over their pipes,
+a merger folds them into one v2 report
 (:mod:`repro.telemetry.merge`), and the result exports to Chrome trace
 JSON (:mod:`repro.telemetry.trace`) or gates CI through the
 perf-regression differ (:mod:`repro.telemetry.diff`).
@@ -41,10 +41,8 @@ from repro.telemetry.diff import (
 from repro.telemetry.merge import (
     ProcessTelemetry,
     coordinator_process,
-    load_worker_spools,
     merge_processes,
     merge_timers,
-    spool_process,
 )
 from repro.telemetry.report import (
     SCHEMA_NAME,
@@ -55,13 +53,6 @@ from repro.telemetry.report import (
     check_report,
     run_metadata,
     validate_report,
-)
-from repro.telemetry.spool import (
-    SpoolFrame,
-    SpoolWriter,
-    WorkerSpool,
-    read_frames,
-    worker_spool_path,
 )
 from repro.telemetry.trace import trace_dict, trace_events, write_trace
 
@@ -85,15 +76,8 @@ __all__ = [
     "check_report",
     "run_metadata",
     "validate_report",
-    "SpoolFrame",
-    "SpoolWriter",
-    "WorkerSpool",
-    "read_frames",
-    "worker_spool_path",
     "ProcessTelemetry",
     "coordinator_process",
-    "spool_process",
-    "load_worker_spools",
     "merge_processes",
     "merge_timers",
     "Metric",

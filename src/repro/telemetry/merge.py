@@ -1,10 +1,11 @@
-"""Fold worker spools + the coordinator recorder into one v2 report.
+"""Fold worker snapshots + the coordinator recorder into one v2 report.
 
 The supervised runtime is the repo's stand-in for the paper's
 multi-engine configuration, and its telemetry is born scattered: the
 coordinator holds an :class:`~repro.telemetry.core.InMemoryRecorder`,
-each worker incarnation leaves a crash-safe spool
-(:mod:`repro.telemetry.spool`).  This module folds them into a single
+and each worker incarnation records into its own, whose cumulative
+snapshots ride the worker's messages to the supervisor
+(:mod:`repro.runtime.worker`).  This module folds them into a single
 schema-v2 :class:`~repro.telemetry.report.TelemetryReport`:
 
 * **top-level sections are the cross-process aggregate** — counters
@@ -28,22 +29,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 from repro.telemetry.core import InMemoryRecorder
-from repro.telemetry.report import (
-    TelemetryError,
-    TelemetryReport,
-    run_metadata,
-)
-from repro.telemetry.spool import WorkerSpool
+from repro.telemetry.report import TelemetryReport, run_metadata
 
 __all__ = [
     "ProcessTelemetry",
     "coordinator_process",
-    "spool_process",
-    "load_worker_spools",
     "merge_timers",
     "merge_processes",
 ]
@@ -56,6 +49,10 @@ class ProcessTelemetry:
     ``clock_offset`` (seconds, coordinator minus worker clock at the
     ready handshake) is *added* to this process's span and event times
     during the merge; the coordinator contributes with offset 0.
+    ``status`` and ``generation`` describe a worker's last snapshot
+    (``"checkpoint"``, ``"done"`` or ``"error"``, and the generation it
+    was sent at, -1 for an error); both stay ``None`` for a life that
+    sent none.
     """
 
     name: str
@@ -67,9 +64,8 @@ class ProcessTelemetry:
     backend: str | None = None
     shard: dict[str, object] | None = None
     clock_offset: float = 0.0
-    spool_status: str | None = None
-    spool_generation: int | None = None
-    frames_skipped: int = 0
+    status: str | None = None
+    generation: int | None = None
 
     def entry(self) -> dict[str, object]:
         """The ``processes[]`` entry: identity plus own counters/timers."""
@@ -87,12 +83,10 @@ class ProcessTelemetry:
             "spans": len(self.snapshot.get("spans", [])),  # type: ignore[arg-type]
             "events": len(self.snapshot.get("events", [])),  # type: ignore[arg-type]
         }
-        if self.spool_status is not None:
-            e["spool_status"] = self.spool_status
-        if self.spool_generation is not None:
-            e["spool_generation"] = self.spool_generation
-        if self.frames_skipped:
-            e["frames_skipped"] = self.frames_skipped
+        if self.status is not None:
+            e["status"] = self.status
+        if self.generation is not None:
+            e["generation"] = self.generation
         return e
 
 
@@ -106,63 +100,6 @@ def coordinator_process(
         snapshot=recorder.snapshot(),
         pid=os.getpid(),
     )
-
-
-def spool_process(
-    spool: WorkerSpool, clock_offset: float = 0.0
-) -> ProcessTelemetry:
-    """Turn one parsed worker spool into a :class:`ProcessTelemetry`.
-
-    Identity comes from the spool's ``open`` frame; a worker that died
-    before its first snapshot still yields a process entry (with empty
-    sections), so the merged report accounts for every life.
-    """
-    meta = spool.meta
-    worker = meta.get("worker")
-    incarnation = meta.get("incarnation")
-    name = f"worker-{worker}.{incarnation}"
-    shard = meta.get("shard")
-    return ProcessTelemetry(
-        name=name,
-        kind="worker",
-        snapshot=dict(spool.snapshot or {}),
-        pid=meta.get("pid") if isinstance(meta.get("pid"), int) else None,
-        worker=worker if isinstance(worker, int) else None,
-        incarnation=incarnation if isinstance(incarnation, int) else None,
-        backend=meta.get("backend") if isinstance(meta.get("backend"), str) else None,
-        shard=dict(shard) if isinstance(shard, Mapping) else None,
-        clock_offset=clock_offset,
-        spool_status=spool.status,
-        spool_generation=spool.generation,
-        frames_skipped=spool.skipped,
-    )
-
-
-def load_worker_spools(
-    directory: str | Path,
-    offsets: Mapping[tuple[int, int], float] | None = None,
-) -> list[ProcessTelemetry]:
-    """Parse every worker spool under ``directory`` (sorted by filename).
-
-    ``offsets`` maps ``(worker, incarnation)`` to the handshake clock
-    offset; missing entries fall back to 0.  Unusable spool files
-    (no intact open frame) are skipped — a merge must not fail a run
-    that already survived its workers dying.
-    """
-    offsets = offsets or {}
-    processes: list[ProcessTelemetry] = []
-    root = Path(directory)
-    if not root.is_dir():
-        return processes
-    for path in sorted(root.glob("worker-*.jsonl")):
-        try:
-            spool = WorkerSpool.load(path)
-        except TelemetryError:
-            continue
-        key = (spool.meta.get("worker"), spool.meta.get("incarnation"))
-        offset = offsets.get(key, 0.0)  # type: ignore[arg-type]
-        processes.append(spool_process(spool, clock_offset=offset))
-    return processes
 
 
 def merge_timers(histograms: list[Mapping[str, object]]) -> dict[str, object]:

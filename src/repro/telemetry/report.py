@@ -17,14 +17,14 @@ CI telemetry-smoke job, the bench assertions) agree on one layout:
       "timers": {"kernel.bitplane.tick": {"count": 16, "...": "..."}},
       "spans": [{"name": "engine.run", "parent": -1, "...": "..."}],
       "events": [{"name": "supervisor.restart", "time": 0.5}],
-      "processes": [{"name": "worker-00.00", "kind": "worker", "...": "..."}]
+      "processes": [{"name": "worker-0.0", "kind": "worker", "...": "..."}]
     }
 
 Schema **v2** (current) adds two things over v1: a mandatory
 ``meta.run`` block identifying the producing process (hostname, pid,
 python version, cpu count, repro version, producing subsystem), and an
 optional ``processes`` list carrying per-process counter/timer
-attribution for multi-process reports merged from worker spools (see
+attribution for multi-process reports merged from worker snapshots (see
 :mod:`repro.telemetry.merge`).  v1 payloads still load: ``meta.run``
 and ``processes`` are tolerated as absent.
 

@@ -11,6 +11,7 @@ cause, spends its restart budget and the run degrades or fails.
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.lgca.automaton import LatticeGasAutomaton
 from repro.runtime import (
     InducedFault,
@@ -59,8 +60,12 @@ def config(spec, **overrides):
 
 
 class TestCleanRun:
-    def test_bit_identical_to_unsupervised(self, spec, golden):
-        state, report = supervised_run(config(spec))
+    @pytest.mark.parametrize("backend", ["reference", "bitplane"])
+    def test_bit_identical_to_unsupervised(self, spec, golden, backend):
+        """Final slabs cross as packed planes on either backend; with 16
+        columns the last plane word is partial, so the supervisor's
+        unpack is exercised."""
+        state, report = supervised_run(config(spec, backend=backend))
         assert report.outcome == "complete"
         assert report.exit_code == 0
         assert not report.restarts
@@ -312,6 +317,30 @@ class TestDurableCheckpointDir:
         worker_dirs = sorted(p.name for p in tmp_path.iterdir())
         assert worker_dirs == ["worker-00", "worker-01"]
         assert any((tmp_path / "worker-00").glob("ckpt-*.ckpt"))
+
+    def test_dir_holding_checkpoints_is_refused(self, spec, tmp_path):
+        supervised_run(config(spec, checkpoint_dir=str(tmp_path)))
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(ConfigError, match="already holds checkpoints"):
+            supervised_run(config(spec, checkpoint_dir=str(tmp_path)))
+        assert sorted(tmp_path.rglob("*")) == before  # nothing deleted
+
+    def test_reused_dir_exits_2_instead_of_hanging(self, tmp_path, capsys):
+        """Regression: a longer earlier run's checkpoints outranked the
+        new run's at pruning, so the restarted worker restored generation
+        32 of a 16-generation run and the barrier waited forever.  The
+        deadline turns a regression into a failure, not a hang."""
+        run = [
+            "run", "--supervised", "--rows", "32", "--cols", "32",
+            "--checkpoint-interval", "4", "--checkpoint-dir", str(tmp_path),
+            "--deadline", "60",
+        ]
+        assert main(run + ["--generations", "32"]) == 0
+        capsys.readouterr()
+        assert main(run + ["--generations", "16", "--induce", "kill:0@6"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "already holds checkpoints" in err
 
     def test_checkpoint_saves_are_counted(self, spec):
         _, report = supervised_run(config(spec))

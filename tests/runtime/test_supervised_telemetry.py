@@ -2,7 +2,7 @@
 
 Satellite of the telemetry tentpole: a supervised run with a recorder
 must hand back ONE merged v2 report — coordinator plus every worker
-incarnation's spool, clock-aligned — and the supervisor's lifecycle
+incarnation's last snapshot, clock-aligned — and the supervisor's lifecycle
 event stream (spawn / restart / watchdog_kill / drop / outcome) must
 carry worker attribution through induced kill and stall faults.
 
@@ -154,12 +154,48 @@ class TestKillScenario:
         assert names == [
             "coordinator", "worker-0.0", "worker-0.1", "worker-1.0",
         ]
-        # The dead incarnation's spool survives to its last checkpoint
-        # (generation 4 of 12) — cumulative snapshots mean the fleet
-        # total is still exactly the work done once.
+        # The dead incarnation's telemetry survives to its last
+        # checkpoint (generation 4 of 12) — cumulative snapshots mean the
+        # fleet total is still exactly the work done once.
         dead = merged.processes[1]
         assert dead["counters"]["shard.generations"] == 4
         assert merged.counters["shard.generations"] == 2 * GENS
+
+    def test_life_killed_before_its_first_checkpoint_has_an_empty_entry(
+        self, spec, golden
+    ):
+        state, report = supervised_run(
+            config(
+                spec,
+                induced=(InducedFault(worker=0, generation=1, kind="crash"),),
+            ),
+            recorder=InMemoryRecorder(),
+        )
+        assert np.array_equal(state, golden)
+        merged = report.telemetry
+        dead = {p["name"]: p for p in merged.processes}["worker-0.0"]
+        assert dead["counters"] == {} and dead["timers"] == {}
+        assert isinstance(dead["pid"], int)
+        assert "status" not in dead
+        assert merged.counters["shard.generations"] == 2 * GENS
+
+    def test_backend_error_life_reports_error_status(self, spec, golden):
+        state, report = supervised_run(
+            config(
+                spec,
+                induced=(
+                    InducedFault(worker=1, generation=6, kind="backend-error"),
+                ),
+            ),
+            recorder=InMemoryRecorder(),
+        )
+        assert np.array_equal(state, golden)
+        processes = {p["name"]: p for p in report.telemetry.processes}
+        assert processes["worker-1.0"]["status"] == "error"
+        assert processes["worker-1.0"]["counters"]["shard.generations"] == 4
+        assert processes["worker-1.1"]["status"] == "done"
+        assert processes["worker-1.1"]["generation"] == GENS
+        assert report.telemetry.counters["shard.generations"] == 2 * GENS
 
     def test_restart_event_attributes_the_killed_worker(self, spec):
         recorder = InMemoryRecorder()
@@ -182,6 +218,19 @@ class TestKillScenario:
         assert {k: restart[k] for k in asdict(event)} == asdict(event)
         (respawn,) = [e for e in spawns if e["incarnation"] == 1]
         assert restart["time"] <= respawn["time"]
+
+
+class TestCheckpointDir:
+    def test_run_leaves_no_telemetry_directory(self, spec, tmp_path):
+        _, report = supervised_run(
+            config(spec, checkpoint_dir=str(tmp_path)),
+            recorder=InMemoryRecorder(),
+        )
+        assert report.telemetry is not None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "worker-00", "worker-01",
+        ]
+        assert not (tmp_path / "telemetry").exists()
 
 
 class TestStallScenario:

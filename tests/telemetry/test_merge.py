@@ -10,16 +10,11 @@ import pytest
 
 from repro.telemetry import (
     InMemoryRecorder,
-    SpoolWriter,
     StepClock,
-    WorkerSpool,
     coordinator_process,
-    load_worker_spools,
     merge_processes,
     merge_timers,
-    spool_process,
     validate_report,
-    worker_spool_path,
 )
 from repro.telemetry.merge import ProcessTelemetry
 
@@ -140,56 +135,46 @@ class TestMergeProcesses:
         assert "host" in report.meta["run"]
 
 
-class TestSpoolRoundTrip:
-    def write(self, directory, worker, incarnation, status="done"):
-        path = worker_spool_path(directory, worker, incarnation)
-        with SpoolWriter(path) as spool:
-            spool.open_frame(
-                worker=worker,
-                incarnation=incarnation,
-                pid=1000 + worker,
-                backend="reference",
-                shard={"index": worker, "row_start": 12 * worker,
-                       "row_stop": 12 * (worker + 1),
-                       "halo_top": 2 * min(worker, 1), "halo_bottom": 2},
-                target_generation=12,
-                restored_generation=None,
-            )
-            spool.snapshot_frame(worker_snapshot(), status=status, generation=12)
-        return path
+def worker_process(worker: int, incarnation: int, offset: float = 0.0) -> ProcessTelemetry:
+    """A worker life as the supervisor builds it from its last snapshot."""
+    return ProcessTelemetry(
+        name=f"worker-{worker}.{incarnation}",
+        kind="worker",
+        snapshot=worker_snapshot(),
+        pid=1000 + worker,
+        worker=worker,
+        incarnation=incarnation,
+        backend="reference",
+        shard={"index": worker, "row_start": 12 * worker,
+               "row_stop": 12 * (worker + 1),
+               "halo_top": 2 * min(worker, 1), "halo_bottom": 2},
+        clock_offset=offset,
+        status="done",
+        generation=12,
+    )
 
-    def test_spool_process_identity(self, tmp_path):
-        path = self.write(tmp_path, 1, 0)
-        p = spool_process(WorkerSpool.load(path), clock_offset=0.25)
-        assert p.name == "worker-1.0"
-        assert p.worker == 1
-        assert p.clock_offset == 0.25
-        assert p.entry()["shard"]["row_start"] == 12
 
-    def test_load_worker_spools_applies_offsets_by_incarnation(self, tmp_path):
-        self.write(tmp_path, 0, 0)
-        self.write(tmp_path, 1, 0)
-        self.write(tmp_path, 1, 1)  # restarted worker: second spool file
-        procs = load_worker_spools(tmp_path, {(0, 0): 0.5, (1, 1): 0.75})
-        assert [p.name for p in procs] == ["worker-0.0", "worker-1.0", "worker-1.1"]
-        assert [p.clock_offset for p in procs] == [0.5, 0.0, 0.75]
+class TestWorkerProcesses:
+    def test_worker_entry_identity(self):
+        entry = worker_process(1, 0, offset=0.25).entry()
+        assert entry["name"] == "worker-1.0"
+        assert entry["worker"] == 1
+        assert entry["clock_offset_seconds"] == 0.25
+        assert entry["shard"]["row_start"] == 12
+        assert entry["status"] == "done"
+        assert entry["generation"] == 12
 
-    def test_unreadable_spool_is_skipped(self, tmp_path):
-        self.write(tmp_path, 0, 0)
-        bad = worker_spool_path(tmp_path, 1, 0)
-        bad.write_bytes(b"garbage, no open frame\n")
-        procs = load_worker_spools(tmp_path)
-        assert [p.name for p in procs] == ["worker-0.0"]
+    def test_life_without_a_snapshot_has_empty_sections(self):
+        entry = ProcessTelemetry(name="worker-0.0", kind="worker", snapshot={}).entry()
+        assert entry["counters"] == {} and entry["timers"] == {}
+        assert entry["spans"] == 0 and entry["events"] == 0
+        assert "status" not in entry and "generation" not in entry
 
-    def test_missing_directory_is_empty(self, tmp_path):
-        assert load_worker_spools(tmp_path / "absent") == []
-
-    def test_end_to_end_spools_merge_and_validate(self, tmp_path):
-        self.write(tmp_path, 0, 0)
-        self.write(tmp_path, 1, 0)
+    def test_end_to_end_merge_validates(self):
         coordinator = InMemoryRecorder()
         coordinator.counter("supervisor.heartbeats").add(9)
-        procs = [coordinator_process(coordinator)] + load_worker_spools(tmp_path)
+        procs = [coordinator_process(coordinator)]
+        procs += [worker_process(0, 0), worker_process(1, 0)]
         report = merge_processes(procs, meta={"command": "supervised_run"})
         assert validate_report(report.to_dict()) == []
         assert report.counters["shard.generations"] == 8
